@@ -122,12 +122,18 @@ impl CrawlCheckpoint {
         Ok(())
     }
 
-    /// Load a checkpoint from disk.
+    /// Load a checkpoint from disk. A file that is not a checkpoint
+    /// (damaged, truncated, not UTF-8) is a [`CcError::Checkpoint`] that
+    /// names the path.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, CcError> {
         let path = path.as_ref();
-        let json = std::fs::read_to_string(path)
-            .map_err(|e| CcError::io(path.display().to_string(), e))?;
-        Self::from_json(&json)
+        let bytes = std::fs::read(path).map_err(|e| CcError::io(path.display().to_string(), e))?;
+        let named = |msg: String| CcError::Checkpoint(format!("{}: {msg}", path.display()));
+        let json = String::from_utf8(bytes).map_err(|e| named(e.to_string()))?;
+        Self::from_json(&json).map_err(|e| match e {
+            CcError::Checkpoint(msg) => named(msg),
+            other => other,
+        })
     }
 }
 
@@ -203,5 +209,36 @@ mod tests {
         let back = CrawlCheckpoint::load(path).unwrap();
         assert_eq!(back.partial, ck.partial);
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn damaged_checkpoints_are_errors_that_name_the_file() {
+        let dir =
+            std::env::temp_dir().join(format!("cc-checkpoint-damaged-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut partial = CrawlDataset::default();
+        partial.walks.extend([walk(0), walk(3)]);
+        let mut truth = TruthLog::new();
+        truth.note("uid-4f2a", cc_web::TokenTruth::SessionId);
+        let json = CrawlCheckpoint::new(&study(), partial, truth)
+            .to_json()
+            .unwrap();
+        let n = json.len();
+        let mut damaged: Vec<(String, Vec<u8>)> = [0, 1, n / 4, n / 2, n - 1]
+            .into_iter()
+            .map(|cut| (format!("cut-at-{cut}.json"), json.as_bytes()[..cut].to_vec()))
+            .collect();
+        damaged.push(("garbage.json".into(), (0..=255u8).cycle().take(4096).collect()));
+        for (name, bytes) in damaged {
+            let path = dir.join(&name);
+            std::fs::write(&path, bytes).unwrap();
+            match CrawlCheckpoint::load(&path) {
+                Err(CcError::Checkpoint(msg)) => {
+                    assert!(msg.contains(&path.display().to_string()), "{name}: {msg}")
+                }
+                other => panic!("{name}: expected a checkpoint error, got {other:?}"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -227,6 +227,29 @@ fn crawled_shard_result_round_trips_exactly() {
     }
 }
 
+/// A ShardResult whose truth ledger holds 100k entries (a few MB, well
+/// under `MAX_FRAME_BYTES`) survives the wire exactly. A peer controls
+/// how many keys that ledger object has, so its decode must stay linear
+/// in them: one object of this size is 5×10⁹ key comparisons when every
+/// parsed key is checked against all earlier ones.
+#[test]
+fn shard_result_with_a_large_truth_ledger_round_trips_exactly() {
+    let mut truth = TruthLog::new();
+    for i in 0..100_000u32 {
+        truth.note(&format!("uid-{i:08x}"), label(i as u8));
+    }
+    let frame = Frame::ShardResult {
+        lease_id: 9,
+        shard: cc_crawler::CrawlDataset::default(),
+        truth,
+    };
+    let bytes = encode(&frame);
+    assert!(bytes.len() < MAX_FRAME_BYTES as usize, "{} bytes", bytes.len());
+    let (back, consumed) = decode(&bytes).unwrap();
+    assert_eq!(consumed, bytes.len());
+    assert_eq!(back, frame);
+}
+
 /// Frames stream back-to-back on one connection; each read consumes
 /// exactly one frame and a clean EOF after the last is `Closed`.
 #[test]
