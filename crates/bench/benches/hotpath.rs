@@ -17,9 +17,9 @@ use std::collections::HashMap;
 use std::hint::black_box;
 use std::time::Instant;
 
-use cc_bench::{contention, detected_cores, medium_web};
+use cc_bench::{contention, detected_cores, medium_web, medium_world};
 use cc_core::extract::{extract_tokens, Extracted};
-use cc_crawler::{crawl_parallel, CrawlConfig, ParallelCrawlConfig, Walker};
+use cc_crawler::{CrawlConfig, StudyConfig, StudyRun, Walker};
 use cc_net::SimTime;
 use cc_url::percent::{decode_component, looks_encoded};
 use cc_url::Url;
@@ -367,11 +367,20 @@ fn hotpath_report() {
         serial_ds = Some(ds);
     }
     let serial_ds = serial_ds.expect("at least one serial run");
+    let study = StudyConfig::builder()
+        .web(medium_world())
+        .seed(cfg.seed)
+        .steps(cfg.steps_per_walk)
+        .walks(cfg.max_walks.expect("the prefix limits its walks"))
+        .failure_rate(cfg.connect_failure_rate)
+        .workers(1)
+        .build()
+        .expect("valid study");
     let mut par_ms = f64::INFINITY;
     let mut par_ds = None;
     for _ in 0..runs {
         let start = Instant::now();
-        let ds = crawl_parallel(web, &cfg, ParallelCrawlConfig::with_workers(1));
+        let ds = StudyRun::new(web, &study).run().expect("study runs");
         par_ms = par_ms.min(start.elapsed().as_secs_f64() * 1e3 / ds.walks.len() as f64);
         par_ds = Some(ds);
     }

@@ -20,8 +20,8 @@
 
 use std::time::Instant;
 
-use cc_bench::{contention, detected_cores, medium_web};
-use cc_crawler::{crawl_parallel, CrawlConfig, ParallelCrawlConfig, Walker};
+use cc_bench::{contention, detected_cores, medium_web, medium_world};
+use cc_crawler::{CrawlConfig, StudyConfig, StudyRun, Walker};
 use cc_telemetry::{RunReport, Session};
 use criterion::{criterion_group, Criterion};
 use serde::Serialize;
@@ -37,21 +37,32 @@ fn crawl_cfg() -> CrawlConfig {
     }
 }
 
+/// [`crawl_cfg`] over the medium world as a study on `workers` threads.
+fn medium_study(workers: usize) -> StudyConfig {
+    let cfg = crawl_cfg();
+    StudyConfig::builder()
+        .web(medium_world())
+        .seed(cfg.seed)
+        .steps(cfg.steps_per_walk)
+        .failure_rate(cfg.connect_failure_rate)
+        .workers(workers)
+        .build()
+        .expect("valid study")
+}
+
 /// One Criterion target per worker count, all crawling the same medium
 /// world with the same config.
 fn bench_workers(c: &mut Criterion) {
     let web = medium_web();
-    let cfg = crawl_cfg();
     let mut group = c.benchmark_group("parallel");
     group.sample_size(10);
     for workers in WORKER_COUNTS {
+        let study = medium_study(workers);
         group.bench_function(format!("crawl_250_walks/{workers}_workers"), |b| {
             b.iter(|| {
-                let ds = crawl_parallel(
-                    black_box(web),
-                    black_box(&cfg),
-                    ParallelCrawlConfig::with_workers(workers),
-                );
+                let ds = StudyRun::new(black_box(web), black_box(&study))
+                    .run()
+                    .expect("study runs");
                 black_box(ds.total_steps())
             })
         });
@@ -183,12 +194,13 @@ fn speedup_report() {
     println!("\nparallel crawl speedup (medium world, 250 walks, {cores} CPU core(s)):");
     println!("  serial baseline: {serial_secs:7.3}s  walk span {serial_walk_span_mean_ms:.2}ms");
     for workers in WORKER_COUNTS {
+        let study = medium_study(workers);
         let worker_span_before = span_totals(&session.report(), "crawl.worker/crawl.walk");
         let mut secs = f64::INFINITY;
         let mut last = None;
         for _ in 0..TIMING_RUNS {
             let start = Instant::now();
-            let ds = crawl_parallel(web, &cfg, ParallelCrawlConfig::with_workers(workers));
+            let ds = StudyRun::new(web, &study).run().expect("study runs");
             secs = secs.min(start.elapsed().as_secs_f64());
             last = Some(ds);
         }

@@ -163,16 +163,20 @@ pub fn small_web() -> &'static SimWeb {
     WEB.get_or_init(|| generate(&WebConfig::small()))
 }
 
-/// A medium world (800 sites / 250 seeders) for the parallel-executor
-/// benches: big enough that per-walk work dominates thread overheads.
+/// The medium world's configuration (800 sites / 250 seeders), for
+/// benches that describe their crawl as a `StudyConfig`.
+pub fn medium_world() -> WebConfig {
+    WebConfig {
+        seed: 0x9A7A11E1,
+        n_sites: 800,
+        n_seeders: 250,
+        ..WebConfig::default()
+    }
+}
+
+/// A medium world ([`medium_world`]) for the parallel-executor benches:
+/// big enough that per-walk work dominates thread overheads.
 pub fn medium_web() -> &'static SimWeb {
     static WEB: OnceLock<SimWeb> = OnceLock::new();
-    WEB.get_or_init(|| {
-        generate(&WebConfig {
-            seed: 0x9A7A11E1,
-            n_sites: 800,
-            n_seeders: 250,
-            ..WebConfig::default()
-        })
-    })
+    WEB.get_or_init(|| generate(&medium_world()))
 }

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 use cc_core::pipeline::PipelineOutput;
 use cc_core::truth_eval::{score, score_by_tracker, TruthScore};
-use cc_crawler::{CrawlConfig, Walker};
+use cc_crawler::{CrawlConfig, StudyConfig, StudyRun, Walker};
 use cc_defense::itp::ItpClassifier;
 use cc_defense::protected::{rewriter_for, Protection};
 use cc_url::Host;
@@ -288,11 +288,16 @@ proptest! {
         let serial = uid_census(&serial_web);
 
         let parallel_web = generate(&cfg);
-        cc_crawler::crawl_parallel(
-            &parallel_web,
-            &crawl_cfg,
-            cc_crawler::ParallelCrawlConfig::with_workers(workers),
-        );
+        let study = StudyConfig::builder()
+            .web(cfg.clone())
+            .seed(crawl_cfg.seed)
+            .steps(crawl_cfg.steps_per_walk)
+            .walks(crawl_cfg.max_walks.expect("the crawl limits its walks"))
+            .failure_rate(crawl_cfg.connect_failure_rate)
+            .workers(workers)
+            .build()
+            .expect("valid study");
+        StudyRun::new(&parallel_web, &study).run().expect("study runs");
         let parallel = uid_census(&parallel_web);
 
         prop_assert_eq!(&serial, &parallel, "per-tracker UID counts diverged");

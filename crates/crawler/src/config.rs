@@ -29,7 +29,7 @@ use cc_util::CcError;
 use cc_web::WebConfig;
 use serde::{Deserialize, Serialize};
 
-use crate::walker::{CrawlConfig, DriverMode};
+use crate::walker::CrawlConfig;
 
 /// When and where the executor writes crawl checkpoints.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -110,8 +110,6 @@ pub struct StudyConfig {
     pub walks: Option<usize>,
     /// Per-connection failure probability (the paper observed 3.3%).
     pub failure_rate: f64,
-    /// Concurrency structure of the three parallel crawlers.
-    pub mode: DriverMode,
     /// Browser storage policy (the paper's subject is `Partitioned`).
     pub storage: StoragePolicy,
     /// Machine fingerprint shared by all four crawlers.
@@ -149,7 +147,6 @@ impl StudyConfig {
             steps_per_walk: self.steps,
             max_walks: self.walks,
             connect_failure_rate: self.failure_rate,
-            mode: self.mode,
             storage_policy: self.storage,
             fingerprint: self.fingerprint,
             retry: self.retry.clone(),
@@ -220,7 +217,6 @@ impl Default for StudyConfig {
             steps: 10,
             walks: None,
             failure_rate: 0.033,
-            mode: DriverMode::Lockstep,
             storage: StoragePolicy::Partitioned,
             fingerprint: 0x51_AB_17_E5,
             retry: RetryPolicy::disabled(),
@@ -276,12 +272,6 @@ impl StudyConfigBuilder {
     /// Per-connection failure probability.
     pub fn failure_rate(mut self, rate: f64) -> Self {
         self.cfg.failure_rate = rate;
-        self
-    }
-
-    /// Concurrency structure of the three parallel crawlers.
-    pub fn mode(mut self, mode: DriverMode) -> Self {
-        self.cfg.mode = mode;
         self
     }
 

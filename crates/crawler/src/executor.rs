@@ -1,8 +1,9 @@
-//! The parallel crawl executor: work-stealing walk scheduling.
+//! The crawl executor: work-stealing walk scheduling behind [`StudyRun`].
 //!
 //! The paper scales its crawl by running twelve EC2 instances over disjoint
-//! seeder ranges (§3.8, modeled by [`crate::shard`]). This module scales
-//! the *same* crawl over threads instead, through a [`WalkQueue`]: each
+//! seeder ranges (§3.8). This module scales the *same* crawl over threads
+//! instead (cc-gaggle spreads it over processes as leases of walk ids,
+//! each run through [`StudyRun::lease`]), through a [`WalkQueue`]: each
 //! worker first drains a small contiguous block reserved for it, then
 //! claims adaptive batches from the shared tail as soon as it finishes,
 //! so long walks and short walks balance automatically — no worker idles
@@ -21,45 +22,20 @@
 //! * per-worker datasets merge through [`CrawlDataset::merge`], which
 //!   re-sorts by walk id and sums failure counters commutatively.
 //!
-//! Net effect: `crawl_parallel` with any worker count is **bit-identical**
+//! Net effect: a [`StudyRun`] with any worker count is **bit-identical**
 //! to [`Walker::crawl`] — the parallel-equivalence integration tests
 //! assert this on serialized JSON.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use cc_util::{CcError, ProgressCounters, ProgressSnapshot};
+use cc_util::{CcError, ProgressCounters};
 use cc_web::SimWeb;
 
 use crate::checkpoint::CrawlCheckpoint;
 use crate::config::{CheckpointPolicy, StudyConfig};
 use crate::record::{CrawlDataset, FailureStats, WalkRecord};
-use crate::walker::{CrawlConfig, Walker};
-
-/// Configuration of the parallel executor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelCrawlConfig {
-    /// Worker threads claiming walks. `1` degenerates to a serial crawl
-    /// (still through the executor path, useful for comparisons).
-    pub n_workers: usize,
-}
-
-impl ParallelCrawlConfig {
-    /// A config with an explicit worker count (panics on zero).
-    pub fn with_workers(n_workers: usize) -> Self {
-        assert!(n_workers > 0, "need at least one worker");
-        ParallelCrawlConfig { n_workers }
-    }
-}
-
-impl Default for ParallelCrawlConfig {
-    /// One worker per available CPU.
-    fn default() -> Self {
-        ParallelCrawlConfig {
-            n_workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        }
-    }
-}
+use crate::walker::Walker;
 
 /// The shared walk queue: per-worker reserved prefixes plus a batched
 /// common tail.
@@ -150,108 +126,6 @@ impl Iterator for WorkerClaims<'_> {
     }
 }
 
-/// Crawl every walk of `cfg` using `par.n_workers` work-stealing workers.
-///
-/// Returns a dataset bit-identical to `Walker::new(web, cfg).crawl()`.
-pub fn crawl_parallel(web: &SimWeb, cfg: &CrawlConfig, par: ParallelCrawlConfig) -> CrawlDataset {
-    let progress = ProgressCounters::new(par.n_workers);
-    crawl_parallel_with_progress(web, cfg, par, &progress)
-}
-
-/// [`crawl_parallel`] plus a final throughput snapshot (walks/sec,
-/// steps/sec, per-worker shares).
-pub fn crawl_parallel_instrumented(
-    web: &SimWeb,
-    cfg: &CrawlConfig,
-    par: ParallelCrawlConfig,
-) -> (CrawlDataset, ProgressSnapshot) {
-    let progress = ProgressCounters::new(par.n_workers);
-    let dataset = crawl_parallel_with_progress(web, cfg, par, &progress);
-    let snapshot = progress.snapshot();
-    (dataset, snapshot)
-}
-
-/// The executor proper, updating caller-owned progress counters (so a
-/// monitor thread can snapshot a live crawl).
-pub fn crawl_parallel_with_progress(
-    web: &SimWeb,
-    cfg: &CrawlConfig,
-    par: ParallelCrawlConfig,
-    progress: &ProgressCounters,
-) -> CrawlDataset {
-    assert!(par.n_workers > 0, "need at least one worker");
-    let seeders = web.seeder_urls();
-    let limit = cfg.max_walks.unwrap_or(seeders.len()).min(seeders.len());
-
-    let queue = WalkQueue::new(limit, par.n_workers);
-    let seeders = &seeders[..limit];
-
-    let shards: Vec<CrawlDataset> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..par.n_workers)
-            .map(|worker| {
-                let queue = &queue;
-                let cfg = cfg.clone();
-                scope.spawn(move || {
-                    // Per-worker telemetry shard: every ID-addressed
-                    // counter/event/histogram touch in the walk loop stays
-                    // thread-private until the shard drains at worker
-                    // exit. Declared before the span so the worker span
-                    // drops (and records) into the shard, not after it.
-                    let _telemetry_shard = cc_telemetry::worker_shard();
-                    // Root span of this worker thread's trace: walk spans
-                    // nest under it.
-                    let _worker_span = cc_telemetry::span("crawl.worker");
-                    let mut walker = Walker::new(web, cfg);
-                    let mut shard = CrawlDataset::default();
-                    let mut claimed: u64 = 0;
-                    for walk_id in queue.worker(worker) {
-                        claimed += 1;
-                        let walk = walker.walk_public(
-                            walk_id as u32,
-                            seeders[walk_id].clone(),
-                            &mut shard.failures,
-                        );
-                        progress.record_walk(worker, walk.steps.len() as u64);
-                        shard.ledger.note(&walk);
-                        shard.walks.push(walk);
-                    }
-                    // Scheduling-dependent readings are gauges (timing
-                    // section), never counters: which worker claimed how
-                    // many walks varies run to run. Starvation compares a
-                    // worker's claims to its fair share — 0.0 is a fair
-                    // split, 1.0 a fully starved worker.
-                    if cc_telemetry::enabled() {
-                        let label = worker.to_string();
-                        let fair = seeders.len() as f64 / par.n_workers as f64;
-                        let starvation = if fair > 0.0 {
-                            (1.0 - claimed as f64 / fair).max(0.0)
-                        } else {
-                            0.0
-                        };
-                        cc_telemetry::gauge_labeled(
-                            "crawl.worker.walks_claimed",
-                            &label,
-                            claimed as f64,
-                        );
-                        cc_telemetry::gauge_labeled(
-                            "crawl.worker.queue_starvation",
-                            &label,
-                            starvation,
-                        );
-                    }
-                    shard
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("crawl worker panicked"))
-            .collect()
-    });
-
-    CrawlDataset::merge(shards)
-}
-
 /// A consumer of in-memory crawl snapshots — the in-process twin of the
 /// checkpoint file. The executor hands each subscribed sink a complete
 /// [`CrawlCheckpoint`] (config + walks so far + truth ledger) every
@@ -292,21 +166,6 @@ impl std::fmt::Debug for PublishPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PublishPolicy").field("every", &self.every).finish()
     }
-}
-
-/// How a [`crawl_study`] run starts and stops.
-#[derive(Debug, Default)]
-pub struct StudyRunOptions {
-    /// Resume from a checkpoint: its walks are kept, the truth ledger is
-    /// restored, and only the remaining walk ids run.
-    pub resume: Option<CrawlCheckpoint>,
-    /// Stop claiming after this many *new* walks (graceful drain): the
-    /// simulated `kill -TERM` used to exercise checkpoint/resume. Because
-    /// walks are claimed in id order, the surviving set is deterministic.
-    pub stop_after: Option<usize>,
-    /// Publish in-memory snapshots while the crawl runs (the live-serving
-    /// hook; independent of the on-disk [`CheckpointPolicy`]).
-    pub publish: Option<PublishPolicy>,
 }
 
 /// Shared per-walk sink: workers report each finished walk into one
@@ -374,8 +233,8 @@ impl WalkSinks<'_> {
 /// This is the [`StudyConfig`]-driven entry point: worker count, retry and
 /// breaker policies, and the checkpoint schedule all come from the config.
 /// The result is byte-identical to [`Walker::crawl`] with the lowered
-/// [`CrawlConfig`] — at any worker count, and whether the crawl ran
-/// uninterrupted or was killed and resumed.
+/// [`CrawlConfig`](crate::CrawlConfig) — at any worker count, and whether
+/// the crawl ran uninterrupted or was killed and resumed.
 ///
 /// For resume / graceful-stop / snapshot-publishing / progress control,
 /// chain options onto [`StudyRun`] instead.
@@ -383,11 +242,8 @@ pub fn crawl_study(web: &SimWeb, study: &StudyConfig) -> Result<CrawlDataset, Cc
     StudyRun::new(web, study).run()
 }
 
-/// A configured study run: the builder face of the executor.
-///
-/// Replaces the widening `crawl_study_with_options` /
-/// `crawl_study_with_progress` parameter lists — chain exactly the
-/// options a call site needs:
+/// A configured study run: the one way to crawl with workers, resume,
+/// sinks or leases. Chain exactly the options a call site needs:
 ///
 /// ```ignore
 /// let dataset = StudyRun::new(&web, &study)
@@ -397,22 +253,26 @@ pub fn crawl_study(web: &SimWeb, study: &StudyConfig) -> Result<CrawlDataset, Cc
 ///     .run()?;
 /// ```
 #[derive(Debug)]
-#[must_use = "a StudyRun does nothing until .run() is called"]
+#[must_use = "a StudyRun does nothing until .run() or .lease() is called"]
 pub struct StudyRun<'a> {
     web: &'a SimWeb,
     study: &'a StudyConfig,
-    opts: StudyRunOptions,
+    resume: Option<CrawlCheckpoint>,
+    stop_after: Option<usize>,
+    publish: Option<PublishPolicy>,
     progress: Option<&'a ProgressCounters>,
 }
 
 impl<'a> StudyRun<'a> {
     /// A run of `study` over `web` with default options (fresh start, no
-    /// publishing, internal progress counters).
+    /// publishing, no progress counters).
     pub fn new(web: &'a SimWeb, study: &'a StudyConfig) -> StudyRun<'a> {
         StudyRun {
             web,
             study,
-            opts: StudyRunOptions::default(),
+            resume: None,
+            stop_after: None,
+            publish: None,
             progress: None,
         }
     }
@@ -420,104 +280,174 @@ impl<'a> StudyRun<'a> {
     /// Resume from `checkpoint`: its walks are kept, the truth ledger
     /// restored, and only the remaining walk ids run.
     pub fn resume(mut self, checkpoint: CrawlCheckpoint) -> Self {
-        self.opts.resume = Some(checkpoint);
+        self.resume = Some(checkpoint);
         self
     }
 
-    /// Stop claiming after `n` *new* walks (deterministic graceful drain).
+    /// Stop claiming after `n` *new* walks (graceful drain): the simulated
+    /// `kill -TERM` used to exercise checkpoint/resume. Because walks are
+    /// claimed in id order, the surviving set is deterministic.
     pub fn stop_after(mut self, n: usize) -> Self {
-        self.opts.stop_after = Some(n);
+        self.stop_after = Some(n);
         self
     }
 
     /// Publish in-memory [`CrawlCheckpoint`] snapshots to `policy.sink`
-    /// every `policy.every` walks, plus a final complete one.
+    /// every `policy.every` walks, plus a final complete one (the
+    /// live-serving hook; independent of the on-disk [`CheckpointPolicy`]).
     pub fn publish(mut self, policy: PublishPolicy) -> Self {
-        self.opts.publish = Some(policy);
-        self
-    }
-
-    /// Replace the whole option block at once (the escape hatch shims
-    /// lower onto).
-    pub fn options(mut self, opts: StudyRunOptions) -> Self {
-        self.opts = opts;
+        self.publish = Some(policy);
         self
     }
 
     /// Update caller-owned progress counters (so a monitor thread can
-    /// snapshot the live crawl). Must be sized to `study.workers`.
+    /// snapshot the live crawl). They must be sized to `study.workers`:
+    /// [`StudyRun::run`] and [`StudyRun::lease`] refuse other sizes with
+    /// [`CcError::Config`] before any walk runs.
     pub fn progress(mut self, progress: &'a ProgressCounters) -> Self {
         self.progress = Some(progress);
         self
     }
 
-    /// Execute the run.
+    /// Execute the run: the study's walks (or, when resuming, the ones
+    /// the checkpoint lacks), firing the checkpoint and publish sinks.
     pub fn run(self) -> Result<CrawlDataset, CcError> {
-        match self.progress {
-            Some(p) => run_study(self.web, self.study, self.opts, p),
-            None => {
-                let progress = ProgressCounters::new(self.study.workers);
-                run_study(self.web, self.study, self.opts, &progress)
+        self.check_progress()?;
+        let StudyRun {
+            web,
+            study,
+            resume,
+            stop_after,
+            publish,
+            progress,
+        } = self;
+        let seeders = web.seeder_urls();
+        let total = study.total_walks().min(seeders.len());
+
+        let (base, mut ids) = match resume {
+            Some(ck) => {
+                ck.validate_against(study)?;
+                // Restore the ground-truth ledger so the resumed run's
+                // report (not only its dataset) matches an uninterrupted
+                // run.
+                web.absorb_truth(&ck.truth);
+                let remaining = ck.remaining();
+                cc_telemetry::counter("crawl.resume.walks_restored", ck.partial.walks.len() as u64);
+                cc_telemetry::counter("crawl.resume.walks_remaining", remaining.len() as u64);
+                (ck.partial, remaining)
             }
+            None => (CrawlDataset::default(), (0..total as u32).collect()),
+        };
+        ids.retain(|&id| (id as usize) < seeders.len());
+        if let Some(n) = stop_after {
+            ids.truncate(n);
+        }
+
+        let sinks = WalkSinks {
+            checkpoint: study.checkpoint.as_ref(),
+            publish: publish.as_ref(),
+            study,
+            web,
+            base: &base,
+            acc: Mutex::new(CrawlDataset::default()),
+            error: Mutex::new(None),
+        };
+        let sinks = sinks.active().then_some(&sinks);
+
+        let shards = crawl_ids(web, study, &ids, progress, sinks);
+
+        if let Some(s) = sinks {
+            if let Some(e) = s.error.lock().expect("walk-sink error slot poisoned").take() {
+                return Err(e);
+            }
+        }
+
+        let merged = CrawlDataset::merge(std::iter::once(base).chain(shards));
+        if study.checkpoint.is_some() || publish.is_some() {
+            // Final emission: a crawl stopped between intervals (or drained
+            // by stop_after) still leaves a current checkpoint behind, and
+            // subscribers always see one snapshot holding every walk run.
+            let final_ck = CrawlCheckpoint::new(study, merged.clone(), web.truth_snapshot());
+            if let Some(policy) = &study.checkpoint {
+                final_ck.save(&policy.path)?;
+            }
+            if let Some(policy) = &publish {
+                policy.sink.publish(final_ck);
+            }
+        }
+        Ok(merged)
+    }
+
+    /// Crawl exactly the walk ids `ids` of the study: the run a cc-gaggle
+    /// worker makes for each lease. The manager partitions the walk-id
+    /// space, and each worker crawls its slice through the same
+    /// work-stealing executor (with `study.workers` threads) that a
+    /// single-process run uses. Because every walk is a pure function of
+    /// `(study, walk_id)`, shards produced from disjoint leases merge
+    /// byte-identically to one uninterrupted run — whatever the lease
+    /// sizes, interleaving, or re-issue history.
+    ///
+    /// The returned dataset holds *only* the requested ids (ids outside
+    /// the seeder range are skipped). Only [`StudyRun::progress`] applies:
+    /// a lease has no resume base and no stop, and fires neither the
+    /// study's checkpoint nor a publish sink — the lease holder owns
+    /// transport, the lessor owns durability.
+    pub fn lease(self, ids: &[u32]) -> Result<CrawlDataset, CcError> {
+        self.check_progress()?;
+        let n_seeders = self.web.seeder_urls().len();
+        let ids: Vec<u32> = ids
+            .iter()
+            .copied()
+            .filter(|&id| (id as usize) < n_seeders)
+            .collect();
+        let shards = crawl_ids(self.web, self.study, &ids, self.progress, None);
+        Ok(CrawlDataset::merge(shards))
+    }
+
+    /// Refuse progress counters sized for another worker count: their
+    /// per-worker rows would silently drop walks and stop summing to the
+    /// total.
+    fn check_progress(&self) -> Result<(), CcError> {
+        match self.progress {
+            Some(p) if p.n_workers() != self.study.workers => Err(CcError::Config(format!(
+                "progress counters sized for {} workers, study has {}",
+                p.n_workers(),
+                self.study.workers
+            ))),
+            _ => Ok(()),
         }
     }
 }
 
-/// Crawl exactly the given walk ids of `study` over `web`.
-///
-/// This is the **lease-ranged** entry point the cc-gaggle worker runs on
-/// each lease: the manager partitions the walk-id space, and each worker
-/// crawls its slice through the same work-stealing executor (with
-/// `study.workers` threads) that a single-process run uses. Because every
-/// walk is a pure function of `(study, walk_id)`, shards produced from
-/// disjoint leases merge byte-identically to one uninterrupted run —
-/// whatever the lease sizes, interleaving, or re-issue history.
-///
-/// Unlike [`crawl_study`], the returned dataset holds *only* the requested
-/// ids (no resume base), and no checkpoint or publish sinks fire: the
-/// lease holder owns transport, the lessor owns durability. Ids outside
-/// the seeder range are skipped, matching [`run_study`]'s clamping.
-pub fn crawl_walk_ids(web: &SimWeb, study: &StudyConfig, ids: &[u32]) -> CrawlDataset {
-    let progress = ProgressCounters::new(study.workers);
-    crawl_walk_ids_with_progress(web, study, ids, &progress)
-}
-
-/// [`crawl_walk_ids`], updating caller-owned progress counters (sized to
-/// `study.workers`).
-pub fn crawl_walk_ids_with_progress(
-    web: &SimWeb,
-    study: &StudyConfig,
-    ids: &[u32],
-    progress: &ProgressCounters,
-) -> CrawlDataset {
-    let seeders = web.seeder_urls();
-    let mut ids: Vec<u32> = ids.to_vec();
-    ids.retain(|&id| (id as usize) < seeders.len());
-    let shards = crawl_ids_sharded(web, study, &ids, progress, None);
-    CrawlDataset::merge(shards)
-}
-
-/// The shared shard loop: crawl `ids` over `study.workers` work-stealing
+/// The one worker loop: crawl `ids` over `study.workers` work-stealing
 /// threads and return the per-worker shards (unmerged, so callers choose
 /// whether a resume base joins the merge).
-fn crawl_ids_sharded(
+fn crawl_ids(
     web: &SimWeb,
     study: &StudyConfig,
     ids: &[u32],
-    progress: &ProgressCounters,
+    progress: Option<&ProgressCounters>,
     sinks: Option<&WalkSinks<'_>>,
 ) -> Vec<CrawlDataset> {
     let seeders = web.seeder_urls();
     let queue = WalkQueue::new(ids.len(), study.workers);
+    // A worker's fair share is of this run's own ids: a resumed run claims
+    // only the walks its checkpoint lacked.
+    let fair = ids.len() as f64 / study.workers as f64;
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..study.workers)
             .map(|worker| {
                 let queue = &queue;
                 let cfg = study.crawl_config();
                 scope.spawn(move || {
-                    // Shard before span: the worker span must drop into
-                    // the shard before the shard drains.
+                    // Per-worker telemetry shard: every ID-addressed
+                    // counter/event/histogram touch in the walk loop stays
+                    // thread-private until the shard drains at worker
+                    // exit. Declared before the span so the worker span
+                    // drops (and records) into the shard, not after it.
                     let _telemetry_shard = cc_telemetry::worker_shard();
+                    // Root span of this worker thread's trace: walk spans
+                    // nest under it.
                     let _worker_span = cc_telemetry::span("crawl.worker");
                     let mut walker = Walker::new(web, cfg);
                     let mut shard = CrawlDataset::default();
@@ -527,15 +457,36 @@ fn crawl_ids_sharded(
                         // carry exact counts for exactly the walks they
                         // hold (sums commute into the same totals).
                         let mut wf = FailureStats::default();
-                        let walk =
-                            walker.walk_public(walk_id, seeders[walk_id as usize].clone(), &mut wf);
-                        progress.record_walk(worker, walk.steps.len() as u64);
+                        let walk = walker.walk(walk_id, seeders[walk_id as usize].clone(), &mut wf);
+                        if let Some(p) = progress {
+                            p.record_walk(worker, walk.steps.len() as u64);
+                        }
                         if let Some(s) = sinks {
                             s.record(walk.clone(), wf);
                         }
                         shard.failures.absorb(wf);
                         shard.ledger.note(&walk);
                         shard.walks.push(walk);
+                    }
+                    // Scheduling-dependent readings are gauges (timing
+                    // section), never counters: which worker claimed how
+                    // many walks varies run to run. Starvation compares a
+                    // worker's claims to its fair share — 0.0 is a fair
+                    // split, 1.0 a fully starved worker.
+                    if cc_telemetry::enabled() {
+                        let label = worker.to_string();
+                        let claimed = shard.walks.len() as f64;
+                        let starvation = if fair > 0.0 {
+                            (1.0 - claimed / fair).max(0.0)
+                        } else {
+                            0.0
+                        };
+                        cc_telemetry::gauge_labeled("crawl.worker.walks_claimed", &label, claimed);
+                        cc_telemetry::gauge_labeled(
+                            "crawl.worker.queue_starvation",
+                            &label,
+                            starvation,
+                        );
                     }
                     shard
                 })
@@ -548,72 +499,10 @@ fn crawl_ids_sharded(
     })
 }
 
-/// The study runner proper (every public entry point lowers to this).
-fn run_study(
-    web: &SimWeb,
-    study: &StudyConfig,
-    opts: StudyRunOptions,
-    progress: &ProgressCounters,
-) -> Result<CrawlDataset, CcError> {
-    let seeders = web.seeder_urls();
-    let total = study.total_walks().min(seeders.len());
-
-    let (base, mut ids) = match opts.resume {
-        Some(ck) => {
-            ck.validate_against(study)?;
-            // Restore the ground-truth ledger so the resumed run's report
-            // (not only its dataset) matches an uninterrupted run.
-            web.absorb_truth(&ck.truth);
-            let remaining = ck.remaining();
-            cc_telemetry::counter("crawl.resume.walks_restored", ck.partial.walks.len() as u64);
-            cc_telemetry::counter("crawl.resume.walks_remaining", remaining.len() as u64);
-            (ck.partial, remaining)
-        }
-        None => (CrawlDataset::default(), (0..total as u32).collect()),
-    };
-    ids.retain(|&id| (id as usize) < seeders.len());
-    if let Some(n) = opts.stop_after {
-        ids.truncate(n);
-    }
-
-    let sinks = WalkSinks {
-        checkpoint: study.checkpoint.as_ref(),
-        publish: opts.publish.as_ref(),
-        study,
-        web,
-        base: &base,
-        acc: Mutex::new(CrawlDataset::default()),
-        error: Mutex::new(None),
-    };
-    let sinks = sinks.active().then_some(&sinks);
-
-    let shards = crawl_ids_sharded(web, study, &ids, progress, sinks);
-
-    if let Some(s) = sinks {
-        if let Some(e) = s.error.lock().expect("walk-sink error slot poisoned").take() {
-            return Err(e);
-        }
-    }
-
-    let merged = CrawlDataset::merge(std::iter::once(base).chain(shards));
-    if study.checkpoint.is_some() || opts.publish.is_some() {
-        // Final emission: a crawl stopped between intervals (or drained by
-        // stop_after) still leaves a current checkpoint behind, and
-        // subscribers always see one snapshot holding every walk run.
-        let final_ck = CrawlCheckpoint::new(study, merged.clone(), web.truth_snapshot());
-        if let Some(policy) = &study.checkpoint {
-            final_ck.save(&policy.path)?;
-        }
-        if let Some(policy) = &opts.publish {
-            policy.sink.publish(final_ck);
-        }
-    }
-    Ok(merged)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CrawlConfig;
     use cc_web::{generate, WebConfig};
 
     fn cfg() -> CrawlConfig {
@@ -626,6 +515,20 @@ mod tests {
         }
     }
 
+    /// [`cfg`] (with its walk limit replaced by `walks`) as a study on
+    /// `workers` threads.
+    fn study(walks: usize, workers: usize) -> StudyConfig {
+        StudyConfig::builder()
+            .web(WebConfig::small())
+            .seed(5)
+            .steps(3)
+            .walks(walks)
+            .failure_rate(0.02)
+            .workers(workers)
+            .build()
+            .unwrap()
+    }
+
     #[test]
     fn parallel_equals_serial_exactly() {
         let serial = {
@@ -636,8 +539,7 @@ mod tests {
             // Fresh world per run: truth-ledger state must not leak
             // between crawls being compared.
             let web = generate(&WebConfig::small());
-            let parallel =
-                crawl_parallel(&web, &cfg(), ParallelCrawlConfig::with_workers(workers));
+            let parallel = crawl_study(&web, &study(10, workers)).unwrap();
             assert_eq!(serial, parallel, "{workers} workers diverged from serial");
         }
     }
@@ -647,7 +549,7 @@ mod tests {
         let web_a = generate(&WebConfig::small());
         Walker::new(&web_a, cfg()).crawl();
         let web_b = generate(&WebConfig::small());
-        crawl_parallel(&web_b, &cfg(), ParallelCrawlConfig::with_workers(4));
+        crawl_study(&web_b, &study(10, 4)).unwrap();
         let (ta, tb) = (web_a.truth_snapshot(), web_b.truth_snapshot());
         assert_eq!(ta.len(), tb.len());
         assert_eq!(ta.uid_count(), tb.uid_count());
@@ -656,11 +558,7 @@ mod tests {
     #[test]
     fn workers_beyond_walks_are_harmless() {
         let web = generate(&WebConfig::small());
-        let few = CrawlConfig {
-            max_walks: Some(2),
-            ..cfg()
-        };
-        let ds = crawl_parallel(&web, &few, ParallelCrawlConfig::with_workers(16));
+        let ds = crawl_study(&web, &study(2, 16)).unwrap();
         assert_eq!(ds.walks.len(), 2);
         assert_eq!(ds.walks[0].walk_id, 0);
         assert_eq!(ds.walks[1].walk_id, 1);
@@ -669,21 +567,17 @@ mod tests {
     #[test]
     fn instrumented_run_reports_progress() {
         let web = generate(&WebConfig::small());
-        let (ds, snap) = crawl_parallel_instrumented(
-            &web,
-            &cfg(),
-            ParallelCrawlConfig::with_workers(2),
-        );
+        let progress = ProgressCounters::new(2);
+        let ds = StudyRun::new(&web, &study(10, 2))
+            .progress(&progress)
+            .run()
+            .unwrap();
+        let snap = progress.snapshot();
         assert_eq!(snap.walks as usize, ds.walks.len());
         assert_eq!(snap.steps as usize, ds.total_steps());
         assert_eq!(snap.per_worker.len(), 2);
         let worker_sum: u64 = snap.per_worker.iter().map(|w| w.walks).sum();
         assert_eq!(worker_sum, snap.walks);
-    }
-
-    #[test]
-    fn default_config_uses_available_parallelism() {
-        assert!(ParallelCrawlConfig::default().n_workers >= 1);
     }
 
     fn faulty_study(workers: usize, checkpoint: Option<(&str, usize)>) -> StudyConfig {
@@ -836,7 +730,7 @@ mod tests {
         let leases: [&[u32]; 3] = [&[7, 8, 9, 10, 11], &[0, 1, 2], &[3, 4, 5, 6]];
         let shards: Vec<CrawlDataset> = leases
             .iter()
-            .map(|ids| crawl_walk_ids(&web_leased, &study, ids))
+            .map(|ids| StudyRun::new(&web_leased, &study).lease(ids).unwrap())
             .collect();
         let merged = CrawlDataset::merge(shards);
         assert_eq!(full, merged, "lease-partitioned crawl diverged");
@@ -847,7 +741,78 @@ mod tests {
     fn out_of_range_lease_ids_are_skipped() {
         let study = faulty_study(1, None);
         let web = generate(&study.web);
-        let ds = crawl_walk_ids(&web, &study, &[0, 1, 9_999_999]);
+        let ds = StudyRun::new(&web, &study).lease(&[0, 1, 9_999_999]).unwrap();
         assert_eq!(ds.walks.len(), 2);
+    }
+
+    /// A scratch file path unique to this test process.
+    fn scratch_path(name: &str) -> String {
+        let path = std::env::temp_dir().join(format!("{name}-{}.json", std::process::id()));
+        path.to_str().unwrap().to_string()
+    }
+
+    #[test]
+    fn lease_runs_write_no_checkpoint() {
+        // Every gaggle Welcome frame carries the manager's whole study,
+        // checkpoint policy included; the lease must leave durability to
+        // the manager.
+        let path = scratch_path("cc-exec-lease-no-sink");
+        std::fs::remove_file(&path).ok();
+        let study = faulty_study(2, Some((&path, 1)));
+        let web = generate(&study.web);
+        let ds = StudyRun::new(&web, &study).lease(&[7, 3, 5]).unwrap();
+        let ids: Vec<u32> = ds.walks.iter().map(|w| w.walk_id).collect();
+        assert_eq!(ids, [3, 5, 7]);
+        assert!(
+            !std::path::Path::new(&path).exists(),
+            "a lease run wrote the study's checkpoint"
+        );
+    }
+
+    #[test]
+    fn mis_sized_progress_counters_are_refused_before_any_walk() {
+        let study = faulty_study(3, None);
+        let web = generate(&study.web);
+        let progress = ProgressCounters::new(1);
+        let err = StudyRun::new(&web, &study)
+            .progress(&progress)
+            .run()
+            .unwrap_err();
+        assert!(matches!(err, CcError::Config(_)), "{err}");
+        let err = StudyRun::new(&web, &study)
+            .progress(&progress)
+            .lease(&[0, 1, 2])
+            .unwrap_err();
+        assert!(matches!(err, CcError::Config(_)), "{err}");
+        assert_eq!(progress.snapshot().walks, 0, "a walk ran before the refusal");
+    }
+
+    #[test]
+    fn checkpoint_naming_a_removed_driver_mode_still_resumes() {
+        let path = scratch_path("cc-exec-old-mode-resume");
+        let study = faulty_study(2, Some((&path, 2)));
+        let web_full = generate(&study.web);
+        let full = crawl_study(&web_full, &study).unwrap();
+
+        let web_killed = generate(&study.web);
+        StudyRun::new(&web_killed, &study).stop_after(5).run().unwrap();
+        // Checkpoints written with the persistent-worker driver embedded
+        // the mode in their study, between `failure_rate` and `storage`.
+        let json = std::fs::read_to_string(&path).unwrap();
+        let old = json.replacen(
+            ",\"storage\":",
+            ",\"mode\":\"PersistentWorkers\",\"storage\":",
+            1,
+        );
+        assert_ne!(old, json, "the study has a storage field to anchor on");
+        std::fs::write(&path, old).unwrap();
+
+        let ck = CrawlCheckpoint::load(&path).unwrap();
+        assert_eq!(ck.schema, crate::CHECKPOINT_SCHEMA);
+        ck.validate_against(&study).expect("the unknown mode key is ignored");
+        let web_resumed = generate(&study.web);
+        let resumed = StudyRun::new(&web_resumed, &study).resume(ck).run().unwrap();
+        assert_eq!(full.to_json().unwrap(), resumed.to_json().unwrap());
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -2,9 +2,11 @@
 //!
 //! The execution model mirrors §3.1–§3.3:
 //!
-//! 1. Safari-1, Safari-2, and Chrome-3 load the same URL **in parallel**
-//!    (scoped threads joined at each controller rendezvous — the moral
-//!    equivalent of the paper's local-HTTP-server controller).
+//! 1. Safari-1, Safari-2, and Chrome-3 load the same URL. The walk loop is
+//!    the controller: it drives the three browsers in lockstep, one after
+//!    another, and meets them at every rendezvous. Each browser owns its
+//!    clock and randomness stream, so the order never changes a byte;
+//!    crawl-level parallelism runs whole walks on separate workers.
 //! 2. Each sends its element list to the controller, which applies the
 //!    three matching heuristics and picks one shared element, preferring
 //!    cross-site navigation.
@@ -58,27 +60,6 @@ impl std::fmt::Debug for NavigationRewriter {
     }
 }
 
-/// How the three parallel crawlers are scheduled.
-///
-/// All three modes produce **bit-identical datasets** (every browser owns
-/// its own clock and randomness stream), which the determinism tests
-/// assert; they differ only in concurrency structure.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize,
-)]
-pub enum DriverMode {
-    /// Single-threaded deterministic execution (fastest for tests).
-    #[default]
-    Lockstep,
-    /// Scoped threads spawned per controller phase.
-    ScopedThreads,
-    /// The paper's architecture: persistent crawler workers living for the
-    /// whole walk, exchanging messages with the central controller over
-    /// crossbeam channels (the stand-in for the local HTTP server of
-    /// §3.3).
-    PersistentWorkers,
-}
-
 /// Crawl parameters.
 #[derive(Debug, Clone)]
 pub struct CrawlConfig {
@@ -90,8 +71,6 @@ pub struct CrawlConfig {
     pub max_walks: Option<usize>,
     /// Per-connection failure probability (the paper observed 3.3%).
     pub connect_failure_rate: f64,
-    /// Concurrency structure for the three parallel crawlers.
-    pub mode: DriverMode,
     /// Browser storage policy (the paper's subject is `Partitioned`).
     pub storage_policy: StoragePolicy,
     /// Machine fingerprint shared by all four crawlers (one machine).
@@ -114,7 +93,6 @@ impl Default for CrawlConfig {
             steps_per_walk: 10,
             max_walks: None,
             connect_failure_rate: 0.033,
-            mode: DriverMode::Lockstep,
             storage_policy: StoragePolicy::Partitioned,
             fingerprint: 0x51_AB_17_E5,
             retry: RetryPolicy::disabled(),
@@ -140,63 +118,10 @@ pub struct Walker<'w> {
     pool: Option<Box<WalkPool<'w>>>,
 }
 
-/// The four browsers of one walk, reused across walks by inline driver
-/// modes (`Lockstep`, `ScopedThreads`). `PersistentWorkers` moves its
-/// browsers into worker threads, so it always constructs fresh ones.
+/// The four browsers of one walk, reused across walks.
 struct WalkPool<'w> {
     browsers: [Browser<'w>; 3],
     trailing: Browser<'w>,
-}
-
-/// A controller→worker command (all-owned data: channel-safe).
-enum Cmd {
-    /// Load a page (seeder or post-click continuation).
-    Navigate(Url),
-    /// Snapshot the current page, click the chosen element, follow it.
-    Click {
-        page_url: Url,
-        kind: cc_web::ElementKind,
-        xpath: String,
-        target: Url,
-    },
-    /// Snapshot the page without clicking (sync-failure bookkeeping).
-    PageObs(Url),
-    /// Ship a clone of the browser's storage to the controller (Safari-1R
-    /// cloning).
-    ExportStorage,
-    /// Ship the browser's retry/breaker accounting to the controller
-    /// (end-of-walk recovery rollup).
-    ExportRecovery,
-}
-
-/// A worker→controller event.
-enum Event {
-    Nav(Box<Result<cc_browser::NavigationOutcome, cc_browser::NavError>>),
-    Leg(Box<CrawlLegAndPage>),
-    Obs(Box<(cc_browser::StorageSnapshot, Vec<(IStr, Url)>)>),
-    Storage(Box<Storage>),
-    Recovery(RecoveryStats),
-}
-
-/// Execute one command against one browser — the single implementation all
-/// three scheduling modes share.
-fn exec_cmd(b: &mut Browser<'_>, cmd: Cmd) -> Event {
-    match cmd {
-        Cmd::Navigate(url) => Event::Nav(Box::new(b.navigate(url))),
-        Cmd::Click {
-            page_url,
-            kind,
-            xpath,
-            target,
-        } => Event::Leg(Box::new(click_leg(b, page_url, kind, xpath, target))),
-        Cmd::PageObs(page_url) => {
-            let snapshot = b.snapshot(&page_url.registered_domain_interned());
-            let beacons = drain_beacons(b);
-            Event::Obs(Box::new((snapshot, beacons)))
-        }
-        Cmd::ExportStorage => Event::Storage(Box::new(b.storage.clone())),
-        Cmd::ExportRecovery => Event::Recovery(b.recovery),
-    }
 }
 
 /// Snapshot, click, and follow: one crawler's half of a walk step.
@@ -245,106 +170,6 @@ fn click_leg(
     }
 }
 
-/// One persistent worker: a channel pair to a thread owning a browser.
-struct Worker {
-    tx: crossbeam::channel::Sender<Cmd>,
-    rx: crossbeam::channel::Receiver<Event>,
-}
-
-/// The three parallel crawlers, behind one of the scheduling modes.
-enum Squad<'w, 'env> {
-    /// Controller-thread execution, optionally on per-phase scoped threads.
-    Inline {
-        browsers: &'env mut [Browser<'w>; 3],
-        scoped: bool,
-    },
-    /// Persistent worker threads + channels (the paper's architecture).
-    Channels { workers: Vec<Worker> },
-}
-
-impl<'w, 'env> Squad<'w, 'env> {
-    /// Issue one command to each crawler and collect the three events.
-    fn exec3(&mut self, cmds: [Cmd; 3]) -> [Event; 3] {
-        match self {
-            Squad::Inline { browsers, scoped } => {
-                let [b0, b1, b2] = &mut **browsers;
-                let [c0, c1, c2] = cmds;
-                if *scoped {
-                    std::thread::scope(|s| {
-                        let h1 = s.spawn(move || exec_cmd(b1, c1));
-                        let h2 = s.spawn(move || exec_cmd(b2, c2));
-                        let e0 = exec_cmd(b0, c0);
-                        [
-                            e0,
-                            h1.join().expect("crawler thread"),
-                            h2.join().expect("crawler thread"),
-                        ]
-                    })
-                } else {
-                    [exec_cmd(b0, c0), exec_cmd(b1, c1), exec_cmd(b2, c2)]
-                }
-            }
-            Squad::Channels { workers } => {
-                for (w, cmd) in workers.iter().zip(cmds) {
-                    w.tx.send(cmd).expect("worker alive");
-                }
-                let collect = |w: &Worker| w.rx.recv().expect("worker alive");
-                [
-                    collect(&workers[0]),
-                    collect(&workers[1]),
-                    collect(&workers[2]),
-                ]
-            }
-        }
-    }
-
-    /// Issue one command to a single crawler.
-    fn exec1(&mut self, idx: usize, cmd: Cmd) -> Event {
-        match self {
-            Squad::Inline { browsers, .. } => exec_cmd(&mut browsers[idx], cmd),
-            Squad::Channels { workers } => {
-                workers[idx].tx.send(cmd).expect("worker alive");
-                workers[idx].rx.recv().expect("worker alive")
-            }
-        }
-    }
-}
-
-fn expect_nav(e: Event) -> Result<cc_browser::NavigationOutcome, cc_browser::NavError> {
-    match e {
-        Event::Nav(r) => *r,
-        _ => unreachable!("protocol violation: expected Nav"),
-    }
-}
-
-fn expect_leg(e: Event) -> CrawlLegAndPage {
-    match e {
-        Event::Leg(l) => *l,
-        _ => unreachable!("protocol violation: expected Leg"),
-    }
-}
-
-fn expect_obs(e: Event) -> (cc_browser::StorageSnapshot, Vec<(IStr, Url)>) {
-    match e {
-        Event::Obs(o) => *o,
-        _ => unreachable!("protocol violation: expected Obs"),
-    }
-}
-
-fn expect_storage(e: Event) -> Storage {
-    match e {
-        Event::Storage(s) => *s,
-        _ => unreachable!("protocol violation: expected Storage"),
-    }
-}
-
-fn expect_recovery(e: Event) -> RecoveryStats {
-    match e {
-        Event::Recovery(r) => r,
-        _ => unreachable!("protocol violation: expected Recovery"),
-    }
-}
-
 /// Outcome of one crawler finishing one navigation within a step.
 struct CrawlLeg {
     page_url: Url,
@@ -365,21 +190,6 @@ impl<'w> Walker<'w> {
             cfg,
             pool: None,
         }
-    }
-
-    /// The world this walker crawls.
-    pub(crate) fn web(&self) -> &'w SimWeb {
-        self.web
-    }
-
-    /// Run one walk by global id (the sharding entry point).
-    pub(crate) fn walk_public(
-        &mut self,
-        walk_id: u32,
-        seeder: Url,
-        failures: &mut FailureStats,
-    ) -> WalkRecord {
-        self.walk(walk_id, seeder, failures)
     }
 
     /// Run the full crawl: one walk per seeder (§3.1's depth-first
@@ -467,58 +277,27 @@ impl<'w> Walker<'w> {
     }
 
     /// Execute one ten-step walk from a seeder.
-    fn walk(&mut self, walk_id: u32, seeder: Url, failures: &mut FailureStats) -> WalkRecord {
+    pub(crate) fn walk(
+        &mut self,
+        walk_id: u32,
+        seeder: Url,
+        failures: &mut FailureStats,
+    ) -> WalkRecord {
         let _walk_span = cc_telemetry::span("crawl.walk");
         let walk_started = std::time::Instant::now();
-        let record = match self.cfg.mode {
-            DriverMode::PersistentWorkers => {
-                // The paper's architecture: crawler workers live for the
-                // whole walk; the controller mediates via channels. The
-                // browsers move into their threads, so this mode always
-                // constructs them fresh.
-                let browsers = [
-                    self.make_browser(walk_id, CrawlerName::Safari1),
-                    self.make_browser(walk_id, CrawlerName::Safari2),
-                    self.make_browser(walk_id, CrawlerName::Chrome3),
-                ];
-                let mut trailing = self.make_browser(walk_id, CrawlerName::Safari1R);
-                crossbeam::thread::scope(|scope| {
-                    let workers = browsers
-                        .into_iter()
-                        .map(|mut b| {
-                            let (cmd_tx, cmd_rx) = crossbeam::channel::unbounded::<Cmd>();
-                            let (evt_tx, evt_rx) = crossbeam::channel::unbounded::<Event>();
-                            scope.spawn(move |_| {
-                                for cmd in cmd_rx {
-                                    if evt_tx.send(exec_cmd(&mut b, cmd)).is_err() {
-                                        break;
-                                    }
-                                }
-                            });
-                            Worker {
-                                tx: cmd_tx,
-                                rx: evt_rx,
-                            }
-                        })
-                        .collect();
-                    let mut squad = Squad::Channels { workers };
-                    self.walk_with(&mut squad, &mut trailing, walk_id, seeder, failures)
-                })
-                .expect("crawler worker panicked")
-            }
-            mode => {
-                let mut pool = self.take_pool(walk_id);
-                let record = {
-                    let mut squad = Squad::Inline {
-                        browsers: &mut pool.browsers,
-                        scoped: mode == DriverMode::ScopedThreads,
-                    };
-                    self.walk_with(&mut squad, &mut pool.trailing, walk_id, seeder, failures)
-                };
-                self.pool = Some(pool);
-                record
-            }
-        };
+        let mut pool = self.take_pool(walk_id);
+        let mut record = self.walk_inner(&mut pool, walk_id, seeder, failures);
+        // Whatever way the walk terminated, roll the retry/breaker
+        // accounting of all four crawlers into the record.
+        let mut recovery = pool.trailing.recovery;
+        for b in &pool.browsers {
+            recovery.absorb(&b.recovery);
+        }
+        self.pool = Some(pool);
+        record.recovery = recovery;
+        if recovery.retries > 0 {
+            cc_telemetry::counter_id(cc_telemetry::CounterId::CRAWL_WALKS_WITH_RETRIES, 1);
+        }
         // Observation-only accounting: totals depend on the seed, never on
         // which worker ran the walk, so these stay in the deterministic
         // report section (the duration histogram is timing data).
@@ -542,34 +321,12 @@ impl<'w> Walker<'w> {
         record
     }
 
-    /// The walk loop plus the end-of-walk recovery rollup: whatever way
-    /// the walk terminated, collect retry/breaker accounting from all four
-    /// crawlers into the record.
-    fn walk_with(
-        &self,
-        squad: &mut Squad<'w, '_>,
-        trailing: &mut Browser<'w>,
-        walk_id: u32,
-        seeder: Url,
-        failures: &mut FailureStats,
-    ) -> WalkRecord {
-        let mut record = self.walk_inner(squad, trailing, walk_id, seeder, failures);
-        let mut recovery = trailing.recovery;
-        for i in 0..3 {
-            recovery.absorb(&expect_recovery(squad.exec1(i, Cmd::ExportRecovery)));
-        }
-        record.recovery = recovery;
-        if recovery.retries > 0 {
-            cc_telemetry::counter_id(cc_telemetry::CounterId::CRAWL_WALKS_WITH_RETRIES, 1);
-        }
-        record
-    }
-
-    /// The walk loop proper, scheduling-agnostic.
+    /// The walk loop proper: the controller driving the three parallel
+    /// crawlers in lockstep (Safari-1, Safari-2, Chrome-3) and Safari-1R
+    /// right behind Safari-1.
     fn walk_inner(
         &self,
-        squad: &mut Squad<'w, '_>,
-        trailing: &mut Browser<'w>,
+        pool: &mut WalkPool<'w>,
         walk_id: u32,
         seeder: Url,
         failures: &mut FailureStats,
@@ -586,15 +343,11 @@ impl<'w> Walker<'w> {
             recovery: RecoveryStats::default(),
         };
 
-        // Initial parallel load of the seeder page.
+        let WalkPool { browsers, trailing } = pool;
+
+        // Initial load of the seeder page by all three.
         failures.steps_attempted += 1;
-        let initial = squad
-            .exec3([
-                Cmd::Navigate(seeder.clone()),
-                Cmd::Navigate(seeder.clone()),
-                Cmd::Navigate(seeder),
-            ])
-            .map(expect_nav);
+        let initial = browsers.each_mut().map(|b| b.navigate(seeder.clone()));
         let mut pages = match split_ok(initial) {
             Ok(outcomes) => outcomes,
             Err(e) => {
@@ -621,7 +374,7 @@ impl<'w> Walker<'w> {
             let Some(shared) = pick else {
                 failures.sync_failures += 1;
                 record.termination = WalkTermination::SyncFailure { step };
-                record.steps.push(page_only_step(squad, step, &pages));
+                record.steps.push(page_only_step(browsers, step, &pages));
                 return record;
             };
 
@@ -648,28 +401,27 @@ impl<'w> Walker<'w> {
                 // synchronization failure.
                 failures.sync_failures += 1;
                 record.termination = WalkTermination::SyncFailure { step };
-                record.steps.push(page_only_step(squad, step, &pages));
+                record.steps.push(page_only_step(browsers, step, &pages));
                 return record;
             }
             let targets: Vec<(&ElementModel, Url)> =
                 targets.into_iter().map(Option::unwrap).collect();
 
-            // All three click in parallel.
-            let mut cmds = Vec::with_capacity(3);
-            for (i, (el, url)) in targets.iter().enumerate() {
-                cmds.push(Cmd::Click {
-                    page_url: pages[i].final_url.clone(),
-                    kind: el.kind,
-                    xpath: el.xpath.clone(),
-                    target: url.clone(),
-                });
-            }
-            let cmds: [Cmd; 3] = cmds.try_into().unwrap_or_else(|_| unreachable!());
-            let legs = squad.exec3(cmds).map(expect_leg);
+            // All three click.
+            let legs: [CrawlLegAndPage; 3] = std::array::from_fn(|i| {
+                let (el, url) = &targets[i];
+                click_leg(
+                    &mut browsers[i],
+                    pages[i].final_url.clone(),
+                    el.kind,
+                    el.xpath.clone(),
+                    url.clone(),
+                )
+            });
 
             // Safari-1R replay: become the same user as Safari-1 (clone its
             // post-step state) and repeat the step.
-            trailing.storage = expect_storage(squad.exec1(0, Cmd::ExportStorage));
+            trailing.storage = browsers[0].storage.clone();
             let trailing_leg = self.replay_step(trailing, &pages[0].final_url, targets[0].0);
 
             // Assemble the step record.
@@ -809,32 +561,29 @@ impl<'w> Walker<'w> {
     }
 }
 
-/// Build a page-only step record through the squad.
+/// Build a page-only step record: each crawler snapshots the page it is
+/// on without clicking (sync-failure bookkeeping).
 fn page_only_step(
-    squad: &mut Squad<'_, '_>,
+    browsers: &mut [Browser<'_>; 3],
     step: usize,
     pages: &[cc_browser::NavigationOutcome; 3],
 ) -> StepRecord {
-    let cmds = [
-        Cmd::PageObs(pages[0].final_url.clone()),
-        Cmd::PageObs(pages[1].final_url.clone()),
-        Cmd::PageObs(pages[2].final_url.clone()),
-    ];
-    let observed = squad.exec3(cmds).map(expect_obs);
     let mut rec = StepRecord {
         index: step,
         observations: Vec::new(),
     };
-    for (i, (snapshot, beacons)) in observed.into_iter().enumerate() {
+    for (i, b) in browsers.iter_mut().enumerate() {
+        let page_url = pages[i].final_url.clone();
+        let page_snapshot = b.snapshot(&page_url.registered_domain_interned());
         rec.observations.push(CrawlObservation {
             crawler: CrawlerName::PARALLEL[i],
-            page_url: pages[i].final_url.clone(),
-            page_snapshot: snapshot,
+            page_url,
+            page_snapshot,
             clicked: None,
             nav_hops: Vec::new(),
             final_url: None,
             dest_snapshot: None,
-            beacons,
+            beacons: drain_beacons(b),
         });
     }
     rec
@@ -911,7 +660,6 @@ mod tests {
             steps_per_walk: 4,
             max_walks: Some(8),
             connect_failure_rate: 0.0,
-            mode: DriverMode::Lockstep,
             ..CrawlConfig::default()
         }
     }
@@ -949,25 +697,6 @@ mod tests {
         for (wa, wb) in a.walks.iter().zip(&b.walks) {
             assert_eq!(wa.termination, wb.termination);
             assert_eq!(wa.steps.len(), wb.steps.len());
-        }
-    }
-
-    #[test]
-    fn all_driver_modes_produce_identical_datasets() {
-        // Every browser owns its clock and randomness stream, so the three
-        // scheduling modes must agree byte-for-byte.
-        let web = generate(&WebConfig::small());
-        let lock = Walker::new(&web, quick_cfg()).crawl();
-        for mode in [DriverMode::ScopedThreads, DriverMode::PersistentWorkers] {
-            let other = Walker::new(
-                &web,
-                CrawlConfig {
-                    mode,
-                    ..quick_cfg()
-                },
-            )
-            .crawl();
-            assert_eq!(lock, other, "driver mode {mode:?} diverged from lockstep");
         }
     }
 

@@ -4,10 +4,10 @@
 //! full [`StudyConfig`], the worker regenerates the world from it (worlds
 //! are pure functions of their config, so every worker's generation-time
 //! truth entries are identical), and each Lease's walk ids run through
-//! [`cc_crawler::crawl_walk_ids_with_progress`] — the same work-stealing
-//! executor, with `study.workers` threads, that a single-process run
-//! uses. A heartbeat thread renews the lease while the crawl runs, so a
-//! slow lease is distinguishable from a dead worker.
+//! [`StudyRun::lease`] — the same work-stealing executor, with
+//! `study.workers` threads, that a single-process run uses. A heartbeat
+//! thread renews the lease while the crawl runs, so a slow lease is
+//! distinguishable from a dead worker.
 //!
 //! Workers do **not** open their own telemetry session (sessions are
 //! process-global and exclusive — the bench harness runs several workers
@@ -21,7 +21,7 @@ use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use cc_crawler::crawl_walk_ids_with_progress;
+use cc_crawler::StudyRun;
 use cc_util::{CcError, ProgressCounters};
 use cc_web::generate;
 
@@ -179,9 +179,12 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, CcError> {
                 if slow_ms > 0 {
                     std::thread::sleep(Duration::from_millis(slow_ms));
                 }
-                let shard = crawl_walk_ids_with_progress(&web, &study, &walk_ids, &progress);
+                let shard = StudyRun::new(&web, &study)
+                    .progress(&progress)
+                    .lease(&walk_ids);
                 drop(stop_tx);
                 let _ = hb.join();
+                let shard = shard?;
 
                 summary.leases += 1;
                 summary.walks += shard.walks.len() as u64;

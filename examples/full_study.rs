@@ -10,7 +10,7 @@
 //! `--paper-scale` uses 10,000 seeder domains as in §3.1 (takes a few
 //! minutes); the default uses 1,000 seeders and finishes in seconds.
 
-use cc_crawler::{DriverMode, StudyConfig};
+use cc_crawler::StudyConfig;
 use cc_web::WebConfig;
 use crumbcruncher::Study;
 
@@ -29,7 +29,6 @@ fn main() {
     let config = StudyConfig::builder()
         .web(web_config)
         .seed(0xC0FFEE)
-        .mode(DriverMode::PersistentWorkers)
         .build()
         .expect("static configuration is valid");
 

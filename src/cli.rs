@@ -21,7 +21,7 @@
 //! Argument parsing is hand-rolled (the workspace's dependency budget is
 //! deliberately small) and lives in the library so it can be unit-tested.
 
-use cc_crawler::{CheckpointPolicy, CrawlCheckpoint, StudyConfig, StudyRunOptions};
+use cc_crawler::{CheckpointPolicy, CrawlCheckpoint, StudyConfig};
 use cc_net::{BreakerPolicy, RetryPolicy};
 use cc_util::CcError;
 use cc_web::WebConfig;
@@ -172,7 +172,6 @@ OPTIONS:
                    (two trackers per named species; see DESIGN.md §5f)
   --workers N      crawl with N work-stealing worker threads (0 = one per CPU);
                    results are bit-identical to the serial crawl
-  --parallel       persistent crawler workers on real threads
   --paper-scale    10,000 sites and seeders, as in the paper's §3.1
 
 FAULT TOLERANCE:
@@ -374,12 +373,11 @@ pub fn parse(args: &[String]) -> Result<Cli, CcError> {
                 let n = numeric(&mut it, "--workers")? as usize;
                 // 0 means "use every CPU", like `make -j` without a count.
                 workers = Some(if n == 0 {
-                    cc_crawler::ParallelCrawlConfig::default().n_workers
+                    std::thread::available_parallelism().map_or(1, |n| n.get())
                 } else {
                     n
                 });
             }
-            "--parallel" => study.mode = cc_crawler::DriverMode::PersistentWorkers,
             "--species" => {
                 let spec = path_arg(&mut it, "--species")?;
                 apply_species(&mut study.web, &spec)?;
@@ -787,13 +785,7 @@ pub fn run(cli: &Cli) -> Result<String, CcError> {
         }
     }
 
-    let mut opts = StudyRunOptions {
-        stop_after: cli.kill_after,
-        ..StudyRunOptions::default()
-    };
-    if let Some(path) = cli.resume.as_deref() {
-        opts.resume = Some(CrawlCheckpoint::load(path)?);
-    }
+    let resume = cli.resume.as_deref().map(CrawlCheckpoint::load).transpose()?;
 
     // Live serving (`crawl --serve-addr`): start the server on a warming
     // epoch-0 index *before* the crawl, wire an in-process publisher into
@@ -868,7 +860,13 @@ pub fn run(cli: &Cli) -> Result<String, CcError> {
         None
     };
 
-    let mut study_builder = Study::builder(&cli.study).options(opts).progress(&progress);
+    let mut study_builder = Study::builder(&cli.study).progress(&progress);
+    if let Some(ck) = resume {
+        study_builder = study_builder.resume(ck);
+    }
+    if let Some(n) = cli.kill_after {
+        study_builder = study_builder.stop_after(n);
+    }
     if let Some((_, publisher, _)) = &live {
         study_builder = study_builder.index_publisher(
             cli.publish_every.unwrap_or(25),
@@ -1385,7 +1383,7 @@ mod tests {
     #[test]
     fn parse_options() {
         let cli = parse(&argv(
-            "crawl --seed 0xAB --sites 500 --seeders 100 --steps 4 --walks 20 --parallel --out d.json",
+            "crawl --seed 0xAB --sites 500 --seeders 100 --steps 4 --walks 20 --out d.json",
         ))
         .unwrap();
         assert_eq!(cli.command, Command::Crawl);
@@ -1395,7 +1393,6 @@ mod tests {
         assert_eq!(cli.study.web.n_seeders, 100);
         assert_eq!(cli.study.steps, 4);
         assert_eq!(cli.study.walks, Some(20));
-        assert_eq!(cli.study.mode, cc_crawler::DriverMode::PersistentWorkers);
         assert_eq!(cli.out.as_deref(), Some("d.json"));
     }
 

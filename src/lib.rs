@@ -56,8 +56,8 @@ use std::sync::Arc;
 use cc_analysis::report::{full_report, AnalysisReport};
 use cc_core::pipeline::PipelineOutput;
 use cc_crawler::{
-    crawl_parallel_instrumented, CrawlCheckpoint, CrawlConfig, CrawlDataset, ParallelCrawlConfig,
-    PublishPolicy, SnapshotSink, StudyConfig, StudyRun, StudyRunOptions, Walker,
+    CrawlCheckpoint, CrawlConfig, CrawlDataset, PublishPolicy, SnapshotSink, StudyConfig,
+    StudyRun, Walker,
 };
 use cc_util::{CcError, ProgressCounters, ProgressSnapshot};
 use cc_web::{generate, SimWeb, WebConfig};
@@ -70,7 +70,8 @@ pub struct Study {
     pub dataset: CrawlDataset,
     /// The pipeline output (findings, groups, paths).
     pub output: PipelineOutput,
-    /// Final per-worker crawl progress (parallel runs only).
+    /// Final per-worker crawl progress (runs through [`Study::builder`]
+    /// only).
     pub progress: Option<ProgressSnapshot>,
 }
 
@@ -97,40 +98,6 @@ impl Study {
         }
     }
 
-    /// Run a study crawling with `n_workers` work-stealing threads.
-    ///
-    /// Produces a `Study` bit-identical to [`Study::run`] with the same
-    /// configurations — walk randomness is keyed on global walk ids, so
-    /// parallelism changes wall-clock time, never results.
-    pub fn run_parallel(
-        web_config: &WebConfig,
-        crawl_config: CrawlConfig,
-        n_workers: usize,
-    ) -> Self {
-        let web = {
-            let _span = telemetry::span("study.generate_web");
-            generate(web_config)
-        };
-        let (dataset, progress) = {
-            let _span = telemetry::span("study.crawl");
-            crawl_parallel_instrumented(
-                &web,
-                &crawl_config,
-                ParallelCrawlConfig::with_workers(n_workers),
-            )
-        };
-        let output = {
-            let _span = telemetry::span("study.pipeline");
-            cc_core::run_pipeline(&dataset)
-        };
-        Study {
-            web,
-            dataset,
-            output,
-            progress: Some(progress),
-        }
-    }
-
     /// Run a study from a unified [`StudyConfig`]: world, crawl, worker
     /// count, fault-tolerance policies, and checkpoint schedule all come
     /// from the one serde-able value.
@@ -154,7 +121,9 @@ impl Study {
     pub fn builder(study: &StudyConfig) -> StudyBuilder<'_> {
         StudyBuilder {
             study,
-            opts: StudyRunOptions::default(),
+            resume: None,
+            stop_after: None,
+            publish: None,
             progress: None,
         }
     }
@@ -223,41 +192,34 @@ impl Study {
 /// * [`StudyBuilder::index_publisher`] — publish in-memory crawl
 ///   snapshots every K walks to a [`SnapshotSink`] (cc-serve's
 ///   `IndexPublisher` folds them into live `ServingIndex` epochs);
-/// * the on-disk checkpoint sink stays configured where it always was,
-///   in [`StudyConfig::checkpoint`] — [`StudyBuilder::checkpoint_sink`]
-///   is a per-run override for callers that don't want to mutate the
-///   shared config.
+/// * the on-disk checkpoint sink is configured in
+///   [`StudyConfig::checkpoint`].
 #[derive(Debug)]
 #[must_use = "a StudyBuilder does nothing until .run() is called"]
 pub struct StudyBuilder<'a> {
     study: &'a StudyConfig,
-    opts: StudyRunOptions,
+    resume: Option<CrawlCheckpoint>,
+    stop_after: Option<usize>,
+    publish: Option<PublishPolicy>,
     progress: Option<&'a ProgressCounters>,
 }
 
 impl<'a> StudyBuilder<'a> {
-    /// Replace the whole executor option block at once (the escape hatch
-    /// the deprecated shims lower onto).
-    pub fn options(mut self, opts: StudyRunOptions) -> Self {
-        self.opts = opts;
-        self
-    }
-
     /// Resume from a checkpoint produced under the same configuration.
     pub fn resume(mut self, checkpoint: CrawlCheckpoint) -> Self {
-        self.opts.resume = Some(checkpoint);
+        self.resume = Some(checkpoint);
         self
     }
 
     /// Stop claiming after `n` new walks (deterministic graceful drain —
     /// the simulated `kill -TERM` the fault-tolerance suites use).
     pub fn stop_after(mut self, n: usize) -> Self {
-        self.opts.stop_after = Some(n);
+        self.stop_after = Some(n);
         self
     }
 
     /// Count progress into caller-owned counters (must be sized for
-    /// `study.workers`; validated in [`StudyBuilder::run`]).
+    /// `study.workers`; [`StudyBuilder::run`] refuses other sizes).
     pub fn progress(mut self, progress: &'a ProgressCounters) -> Self {
         self.progress = Some(progress);
         self
@@ -266,91 +228,51 @@ impl<'a> StudyBuilder<'a> {
     /// Publish an in-memory crawl snapshot to `sink` every `every` walks
     /// (plus a final complete one) while the crawl runs.
     pub fn index_publisher(mut self, every: usize, sink: Arc<dyn SnapshotSink>) -> Self {
-        self.opts.publish = Some(PublishPolicy::new(every, sink));
+        self.publish = Some(PublishPolicy::new(every, sink));
         self
-    }
-
-    /// Override the on-disk checkpoint schedule for this run only (the
-    /// config's own [`StudyConfig::checkpoint`] stays untouched).
-    pub fn checkpoint_sink(self, path: impl Into<String>, every: usize) -> StudyBuilderOwned<'a> {
-        StudyBuilderOwned {
-            study: {
-                let mut s = self.study.clone();
-                s.checkpoint = Some(cc_crawler::CheckpointPolicy {
-                    path: path.into(),
-                    every,
-                });
-                s
-            },
-            opts: self.opts,
-            progress: self.progress,
-        }
     }
 
     /// Execute: generate the world, run the crawl through the
     /// work-stealing executor, and run the analysis pipeline.
     pub fn run(self) -> Result<Study, CcError> {
-        run_facade_study(self.study, self.opts, self.progress)
+        let study = self.study;
+        let web = {
+            let _span = telemetry::span("study.generate_web");
+            generate(&study.web)
+        };
+        let owned_progress;
+        let progress = match self.progress {
+            Some(p) => p,
+            None => {
+                owned_progress = ProgressCounters::new(study.workers);
+                &owned_progress
+            }
+        };
+        let dataset = {
+            let _span = telemetry::span("study.crawl");
+            let mut run = StudyRun::new(&web, study).progress(progress);
+            if let Some(ck) = self.resume {
+                run = run.resume(ck);
+            }
+            if let Some(n) = self.stop_after {
+                run = run.stop_after(n);
+            }
+            if let Some(policy) = self.publish {
+                run = run.publish(policy);
+            }
+            run.run()?
+        };
+        let output = {
+            let _span = telemetry::span("study.pipeline");
+            cc_core::run_pipeline(&dataset)
+        };
+        Ok(Study {
+            web,
+            dataset,
+            output,
+            progress: Some(progress.snapshot()),
+        })
     }
-}
-
-/// A [`StudyBuilder`] whose config was copied to apply a per-run
-/// override (see [`StudyBuilder::checkpoint_sink`]).
-#[derive(Debug)]
-#[must_use = "a StudyBuilder does nothing until .run() is called"]
-pub struct StudyBuilderOwned<'a> {
-    study: StudyConfig,
-    opts: StudyRunOptions,
-    progress: Option<&'a ProgressCounters>,
-}
-
-impl StudyBuilderOwned<'_> {
-    /// Execute: see [`StudyBuilder::run`].
-    pub fn run(self) -> Result<Study, CcError> {
-        run_facade_study(&self.study, self.opts, self.progress)
-    }
-}
-
-fn run_facade_study(
-    study: &StudyConfig,
-    opts: StudyRunOptions,
-    progress: Option<&ProgressCounters>,
-) -> Result<Study, CcError> {
-    if let Some(p) = progress {
-        if p.n_workers() != study.workers {
-            return Err(CcError::cli(format!(
-                "progress counters sized for {} workers, study has {}",
-                p.n_workers(),
-                study.workers
-            )));
-        }
-    }
-    let web = {
-        let _span = telemetry::span("study.generate_web");
-        generate(&study.web)
-    };
-    let owned_progress;
-    let progress = match progress {
-        Some(p) => p,
-        None => {
-            owned_progress = ProgressCounters::new(study.workers);
-            &owned_progress
-        }
-    };
-    let dataset = {
-        let _span = telemetry::span("study.crawl");
-        StudyRun::new(&web, study).options(opts).progress(progress).run()?
-    };
-    let output = {
-        let _span = telemetry::span("study.pipeline");
-        cc_core::run_pipeline(&dataset)
-    };
-    Ok(Study {
-        web,
-        dataset,
-        output,
-        progress: Some(progress.snapshot()),
-    })
 }
 
 #[cfg(test)]
@@ -368,14 +290,15 @@ mod tests {
 
     #[test]
     fn parallel_study_matches_serial() {
-        let web_config = cc_web::WebConfig::small();
-        let crawl_config = CrawlConfig {
-            steps_per_walk: 3,
-            max_walks: Some(8),
-            ..CrawlConfig::default()
-        };
-        let serial = Study::run(&web_config, crawl_config.clone());
-        let parallel = Study::run_parallel(&web_config, crawl_config, 3);
+        let config = StudyConfig::builder()
+            .web(cc_web::WebConfig::small())
+            .steps(3)
+            .walks(8)
+            .workers(3)
+            .build()
+            .unwrap();
+        let serial = Study::run(&config.web, config.crawl_config());
+        let parallel = Study::builder(&config).run().unwrap();
         assert_eq!(serial.dataset, parallel.dataset);
         assert_eq!(serial.output.groups.len(), parallel.output.groups.len());
     }

@@ -1,18 +1,16 @@
-//! Determinism and concurrency-equivalence guarantees.
+//! Determinism guarantees.
 //!
 //! The entire stack — world generation, crawling, classification — must be
-//! bit-stable given a seed, and the threaded crawler must agree with the
-//! lockstep crawler on everything user-visible.
+//! bit-stable given a seed.
 
-use cc_crawler::{CrawlConfig, DriverMode, Walker};
+use cc_crawler::{CrawlConfig, Walker};
 use cc_web::{generate, WebConfig};
 
-fn cfg(seed: u64, mode: DriverMode) -> CrawlConfig {
+fn cfg(seed: u64) -> CrawlConfig {
     CrawlConfig {
         seed,
         steps_per_walk: 5,
         max_walks: Some(12),
-        mode,
         ..CrawlConfig::default()
     }
 }
@@ -24,7 +22,7 @@ fn whole_study_is_reproducible() {
             seed,
             ..WebConfig::small()
         });
-        let ds = Walker::new(&web, cfg(seed, DriverMode::Lockstep)).crawl();
+        let ds = Walker::new(&web, cfg(seed)).crawl();
         let out = cc_core::run_pipeline(&ds);
         (
             ds.to_json().unwrap(),
@@ -42,23 +40,6 @@ fn whole_study_is_reproducible() {
 
     let c = run(0xCD);
     assert_ne!(a.0, c.0, "different seeds must differ");
-}
-
-#[test]
-fn all_driver_modes_agree_end_to_end() {
-    let web = generate(&WebConfig::small());
-    let lock = Walker::new(&web, cfg(5, DriverMode::Lockstep)).crawl();
-    let lock_out = cc_core::run_pipeline(&lock);
-
-    for mode in [DriverMode::ScopedThreads, DriverMode::PersistentWorkers] {
-        let other = Walker::new(&web, cfg(5, mode)).crawl();
-        // Per-browser clocks and randomness streams make the datasets
-        // byte-identical regardless of scheduling.
-        assert_eq!(lock, other, "mode {mode:?} produced a different dataset");
-        let out = cc_core::run_pipeline(&other);
-        assert_eq!(lock_out.findings, out.findings);
-        assert_eq!(lock_out.stats, out.stats);
-    }
 }
 
 #[test]

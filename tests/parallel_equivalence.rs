@@ -5,7 +5,7 @@
 //! `PartialEq`: it also pins field order, map ordering, and float
 //! formatting, i.e. what a consumer of the released dataset would diff.
 
-use cc_crawler::{crawl_parallel, CrawlConfig, CrawlDataset, ParallelCrawlConfig, Walker};
+use cc_crawler::{CrawlConfig, CrawlDataset, StudyConfig, StudyRun, Walker};
 use cc_web::{generate, SimWeb, WebConfig};
 
 const WORLD_SEEDS: [u64; 2] = [11, 0xC0FFEE];
@@ -28,6 +28,20 @@ fn crawl_cfg(seed: u64) -> CrawlConfig {
     }
 }
 
+/// [`crawl_cfg`] over `world` as a study on `workers` threads.
+fn study(world: &WebConfig, seed: u64, workers: usize) -> StudyConfig {
+    let cfg = crawl_cfg(seed);
+    StudyConfig::builder()
+        .web(world.clone())
+        .seed(cfg.seed)
+        .steps(cfg.steps_per_walk)
+        .walks(cfg.max_walks.expect("crawl_cfg limits the walks"))
+        .failure_rate(cfg.connect_failure_rate)
+        .workers(workers)
+        .build()
+        .expect("valid study")
+}
+
 /// Serialize everything the crawl produced or touched. The web is
 /// regenerated per crawl (the truth ledger accumulates on a `SimWeb`), so
 /// each run serializes its own world's ledger.
@@ -44,7 +58,9 @@ fn world_artifacts(
     let cfg = crawl_cfg(seed);
     let dataset: CrawlDataset = match workers {
         None => Walker::new(&web, cfg).crawl(),
-        Some(n) => crawl_parallel(&web, &cfg, ParallelCrawlConfig::with_workers(n)),
+        Some(n) => StudyRun::new(&web, &study(world, seed, n))
+            .run()
+            .expect("study runs"),
     };
     let walks = serde_json::to_string(&dataset.walks).expect("walks serialize");
     let failures = serde_json::to_string(&dataset.failures).expect("failures serialize");
@@ -114,11 +130,9 @@ fn parallel_crawl_roundtrips_as_released_dataset() {
     // The full released artifact (walks + failures in one document) also
     // matches and survives a parse → serialize round trip.
     let web = generate(&world(WORLD_SEEDS[0]));
-    let ds = crawl_parallel(
-        &web,
-        &crawl_cfg(WORLD_SEEDS[0]),
-        ParallelCrawlConfig::with_workers(4),
-    );
+    let ds = StudyRun::new(&web, &study(&world(WORLD_SEEDS[0]), WORLD_SEEDS[0], 4))
+        .run()
+        .expect("study runs");
     let json = ds.to_json().expect("dataset serializes");
     let back = CrawlDataset::from_json(&json).expect("dataset parses back");
     assert_eq!(back, ds);

@@ -1,7 +1,7 @@
 //! Cross-crate property tests: the stack must hold its invariants for
 //! arbitrary (small) configurations, not just the calibrated defaults.
 
-use cc_crawler::{CrawlConfig, CrawlerName, FailureStats, ShardPlan, Walker};
+use cc_crawler::{CrawlConfig, CrawlerName, FailureStats, Walker};
 use cc_web::{generate, WebConfig};
 use proptest::prelude::*;
 
@@ -109,32 +109,6 @@ proptest! {
         if score.true_positives + score.false_positives >= 10 {
             prop_assert!(score.precision() >= 0.5, "precision collapsed: {:?}", score);
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Shard ranges partition the seeder list: contiguous, in order, and
-    /// covering every index in `[0, n_seeders)` exactly once — including
-    /// the `div_ceil` edges (`n_seeders % n_shards != 0`) and degenerate
-    /// plans with more shards than seeders (trailing empty ranges).
-    #[test]
-    fn shard_ranges_cover_every_seeder_exactly_once(
-        (n_shards, n_seeders) in (1usize..48, 0usize..600)
-    ) {
-        let plan = ShardPlan::new(n_shards, n_seeders);
-        let mut next_uncovered = 0;
-        for shard in 0..n_shards {
-            let (start, end) = plan.range(shard);
-            // Contiguity: each shard picks up exactly where the previous
-            // one stopped, so nothing is skipped or double-crawled.
-            prop_assert_eq!(start, next_uncovered, "gap or overlap at shard {}", shard);
-            prop_assert!(end >= start, "inverted range at shard {}", shard);
-            prop_assert!(end <= n_seeders, "shard {} overruns the seeder list", shard);
-            next_uncovered = end;
-        }
-        prop_assert_eq!(next_uncovered, n_seeders, "seeders left uncovered");
     }
 }
 

@@ -7,11 +7,9 @@
 //! [`RunReport`] actually carries the data `--metrics-out` promises:
 //! span rollups, histogram quantiles, and per-worker progress.
 
-use cc_crawler::{
-    crawl_parallel_instrumented, CrawlConfig, ParallelCrawlConfig, Walker,
-};
+use cc_crawler::{CrawlConfig, StudyConfig, StudyRun, Walker};
 use cc_telemetry::{RunReport, Session, WorkerSection};
-use cc_util::ProgressSnapshot;
+use cc_util::{ProgressCounters, ProgressSnapshot};
 use cc_web::{generate, WebConfig};
 
 /// Serializes the tests in this binary. Sessions are process-global, so a
@@ -40,6 +38,20 @@ fn crawl_cfg(seed: u64) -> CrawlConfig {
     }
 }
 
+/// [`crawl_cfg`] over [`world`] as a study on `workers` threads.
+fn study(seed: u64, workers: usize) -> StudyConfig {
+    let cfg = crawl_cfg(seed);
+    StudyConfig::builder()
+        .web(world(seed))
+        .seed(cfg.seed)
+        .steps(cfg.steps_per_walk)
+        .walks(cfg.max_walks.expect("crawl_cfg limits the walks"))
+        .failure_rate(cfg.connect_failure_rate)
+        .workers(workers)
+        .build()
+        .expect("valid study")
+}
+
 /// Crawl with telemetry active; return the serialized dataset plus the
 /// session's run report (with per-worker data folded in when parallel).
 fn crawl_with_telemetry(seed: u64, workers: Option<usize>) -> (String, RunReport) {
@@ -50,12 +62,12 @@ fn crawl_with_telemetry(seed: u64, workers: Option<usize>) -> (String, RunReport
             (ds, None)
         }
         Some(n) => {
-            let (ds, progress) = crawl_parallel_instrumented(
-                &generate(&world(seed)),
-                &crawl_cfg(seed),
-                ParallelCrawlConfig::with_workers(n),
-            );
-            (ds, Some(progress))
+            let progress = ProgressCounters::new(n);
+            let ds = StudyRun::new(&generate(&world(seed)), &study(seed, n))
+                .progress(&progress)
+                .run()
+                .expect("study runs");
+            (ds, Some(progress.snapshot()))
         }
     };
     let json = dataset.to_json().expect("dataset serializes");
@@ -155,6 +167,31 @@ fn run_report_carries_spans_quantiles_and_worker_counters() {
     let json = report.to_json().expect("report serializes");
     let back = RunReport::from_json(&json).expect("report parses back");
     assert_eq!(back, report);
+}
+
+#[test]
+fn multi_worker_runs_record_queue_gauges() {
+    let _exclusive = exclusive();
+    let session = Session::start();
+    let ds = StudyRun::new(&generate(&world(5)), &study(5, 2))
+        .run()
+        .expect("study runs");
+    let gauges = session.report().timing.gauges;
+    let gauge = |name: &str, w: usize| {
+        let key = format!("{name}.{w}");
+        *gauges
+            .get(&key)
+            .unwrap_or_else(|| panic!("no {key} gauge in {gauges:?}"))
+    };
+    let claimed: f64 = (0..2).map(|w| gauge("crawl.worker.walks_claimed", w)).sum();
+    assert_eq!(claimed, ds.walks.len() as f64, "claims don't sum to the walks");
+    for w in 0..2 {
+        let starvation = gauge("crawl.worker.queue_starvation", w);
+        assert!(
+            (0.0..=1.0).contains(&starvation),
+            "worker {w} starvation {starvation} outside [0, 1]"
+        );
+    }
 }
 
 #[test]
