@@ -40,4 +40,6 @@ pub mod pipeline;
 pub mod truth_eval;
 
 pub use classify::{ComboClass, DiscardReason, Verdict};
-pub use pipeline::{run_pipeline, PipelineOutput, UidFinding};
+pub use pipeline::{
+    classify_walks, extract_walk, run_pipeline, PipelineOutput, UidFinding, WalkExtract,
+};

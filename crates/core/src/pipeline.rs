@@ -2,10 +2,15 @@
 //!
 //! Crawl dataset → token observations → candidates → classification →
 //! [`UidFinding`]s, the unit the §5 analyses consume.
+//!
+//! The first stage is per walk ([`extract_walk`]); classification and
+//! assembly look across walks ([`classify_walks`]). [`run_pipeline`] is
+//! the two in sequence.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use cc_crawler::{CrawlDataset, CrawlerName};
+use cc_crawler::{CrawlDataset, CrawlerName, WalkRecord};
 use serde::{Deserialize, Serialize};
 
 use crate::candidates::{find_candidates, Candidate};
@@ -103,28 +108,97 @@ pub struct PipelineOutput {
     pub candidates: Vec<Candidate>,
 }
 
-/// Run the full pipeline over a crawl dataset.
-pub fn run_pipeline(dataset: &CrawlDataset) -> PipelineOutput {
-    let _pipeline_span = cc_telemetry::span("pipeline");
-    let mut all_candidates: Vec<Candidate> = Vec::new();
-    let mut all_nav_obs: Vec<TokenObs> = Vec::new();
-    let mut all_paths: Vec<PathView> = Vec::new();
+/// One walk's share of the pipeline's first stage: the candidates, the
+/// navigation-query token observations and the navigation paths its
+/// steps yield. A pure function of the walk, so a caller that sees the
+/// same walk again (cc-serve's epoch folds) can keep it instead of
+/// re-extracting.
+#[derive(Debug, Clone, Default)]
+pub struct WalkExtract {
+    /// Potential UID smuggling found in the walk.
+    pub candidates: Vec<Candidate>,
+    /// Token observations from navigation query parameters.
+    pub nav_obs: Vec<TokenObs>,
+    /// Every navigation path observed in the walk.
+    pub paths: Vec<PathView>,
+}
 
-    {
-        let _extract_span = cc_telemetry::span("pipeline.extract");
-        for walk in &dataset.walks {
-            for step in &walk.steps {
-                for obs in &step.observations {
-                    let (tokens, path) = observe(walk.walk_id, step.index, obs);
-                    if let Some(path) = path {
-                        all_candidates.extend(find_candidates(&tokens, &path));
-                        all_paths.push(path);
-                    }
-                    all_nav_obs.extend(tokens.into_iter().filter(|t| t.source.is_nav_query()));
+impl WalkExtract {
+    /// Append `walk`'s extraction.
+    fn add_walk(&mut self, walk: &WalkRecord) {
+        for step in &walk.steps {
+            for obs in &step.observations {
+                let (tokens, path) = observe(walk.walk_id, step.index, obs);
+                if let Some(path) = path {
+                    self.candidates.extend(find_candidates(&tokens, &path));
+                    self.paths.push(path);
                 }
+                self.nav_obs
+                    .extend(tokens.into_iter().filter(|t| t.source.is_nav_query()));
             }
         }
     }
+
+    /// Append another extract: moved when owned, copied when borrowed.
+    fn append(&mut self, other: Cow<'_, WalkExtract>) {
+        match other {
+            Cow::Owned(other)
+                if self.candidates.is_empty()
+                    && self.nav_obs.is_empty()
+                    && self.paths.is_empty() =>
+            {
+                *self = other;
+            }
+            Cow::Owned(other) => {
+                self.candidates.extend(other.candidates);
+                self.nav_obs.extend(other.nav_obs);
+                self.paths.extend(other.paths);
+            }
+            Cow::Borrowed(other) => {
+                self.candidates.extend_from_slice(&other.candidates);
+                self.nav_obs.extend_from_slice(&other.nav_obs);
+                self.paths.extend_from_slice(&other.paths);
+            }
+        }
+    }
+}
+
+/// The per-walk stage: extract one walk's tokens, candidates and paths.
+pub fn extract_walk(walk: &WalkRecord) -> WalkExtract {
+    let mut out = WalkExtract::default();
+    out.add_walk(walk);
+    out
+}
+
+/// Run the full pipeline over a crawl dataset: the per-walk extraction
+/// of every walk, then [`classify_walks`].
+pub fn run_pipeline(dataset: &CrawlDataset) -> PipelineOutput {
+    let _pipeline_span = cc_telemetry::span("pipeline");
+    let mut all = WalkExtract::default();
+    {
+        let _extract_span = cc_telemetry::span("pipeline.extract");
+        for walk in &dataset.walks {
+            all.add_walk(walk);
+        }
+    }
+    classify_walks([Cow::Owned(all)])
+}
+
+/// The cross-walk stages over walk extracts in walk order:
+/// classification, then finding assembly. Owned extracts are moved into
+/// the output; borrowed ones (a cache's) are copied.
+pub fn classify_walks<'a>(
+    extracts: impl IntoIterator<Item = Cow<'a, WalkExtract>>,
+) -> PipelineOutput {
+    let mut all = WalkExtract::default();
+    for extract in extracts {
+        all.append(extract);
+    }
+    let WalkExtract {
+        candidates: all_candidates,
+        nav_obs: all_nav_obs,
+        paths: all_paths,
+    } = all;
     cc_telemetry::counter("pipeline.candidates.found", all_candidates.len() as u64);
     cc_telemetry::counter("pipeline.paths.observed", all_paths.len() as u64);
 

@@ -34,7 +34,8 @@ use crate::walker::CrawlConfig;
 /// When and where the executor writes crawl checkpoints.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CheckpointPolicy {
-    /// Checkpoint file path (written atomically via temp-file + rename).
+    /// Checkpoint file path: an append-only `cc-checkpoint/v2` log,
+    /// compacted atomically (temp file + rename) when the crawl stops.
     pub path: String,
     /// Completed walks between checkpoint writes (>= 1). A final
     /// checkpoint is always written when the crawl stops.

@@ -30,9 +30,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use cc_util::{CcError, ProgressCounters};
-use cc_web::SimWeb;
+use cc_web::{SimWeb, TruthLog};
 
-use crate::checkpoint::CrawlCheckpoint;
+use crate::checkpoint::{CheckpointLog, CrawlCheckpoint};
 use crate::config::{CheckpointPolicy, StudyConfig};
 use crate::record::{CrawlDataset, FailureStats, WalkRecord};
 use crate::walker::Walker;
@@ -129,11 +129,13 @@ impl Iterator for WorkerClaims<'_> {
 /// A consumer of in-memory crawl snapshots — the in-process twin of the
 /// checkpoint file. The executor hands each subscribed sink a complete
 /// [`CrawlCheckpoint`] (config + walks so far + truth ledger) every
-/// [`PublishPolicy::every`] walks, plus a final one after the last walk.
+/// [`PublishPolicy::every`] walks, plus a final one after the last walk
+/// (which stands in for the periodic one when the cadence divides the
+/// run's walk count).
 ///
-/// Snapshots are **monotone**: each one's walk set is a superset of the
-/// previous one's, and the final snapshot holds the whole study. A sink
-/// that only keeps the latest snapshot it has seen (coalescing) loses
+/// Snapshots are **monotone**: each one's walk set is a strict superset
+/// of the previous one's, and the final snapshot holds the whole study.
+/// A sink that only keeps the latest snapshot it has seen (coalescing) loses
 /// nothing — that is what lets cc-serve's `IndexPublisher` fold batches
 /// into fresh `ServingIndex` epochs without ever blocking a crawl worker.
 pub trait SnapshotSink: Send + Sync {
@@ -169,19 +171,53 @@ impl std::fmt::Debug for PublishPolicy {
 }
 
 /// Shared per-walk sink: workers report each finished walk into one
-/// accumulator; every `checkpoint.every`-th completion serializes
-/// base + accumulated walks to disk (atomic temp-file + rename), and
-/// every `publish.every`-th completion hands the same merged snapshot to
-/// the in-memory [`SnapshotSink`]. One accumulator serves both cadences,
-/// so a walk is counted exactly once however many sinks are subscribed.
+/// accumulator; every `checkpoint.every`-th completion appends the walks
+/// added since the previous save to the [`CheckpointLog`], and every
+/// `publish.every`-th completion hands a merged snapshot of base +
+/// accumulated walks to the in-memory [`SnapshotSink`]. One accumulator
+/// serves both cadences, so a walk is counted exactly once however many
+/// sinks are subscribed. The run's last walk is left to the final
+/// emission in [`StudyRun::run`], so no walk set is emitted twice.
 struct WalkSinks<'a> {
     checkpoint: Option<&'a CheckpointPolicy>,
     publish: Option<&'a PublishPolicy>,
     study: &'a StudyConfig,
     web: &'a SimWeb,
     base: &'a CrawlDataset,
-    acc: Mutex<CrawlDataset>,
+    /// Walks this run crawls.
+    run_walks: usize,
+    acc: Mutex<Accumulated>,
     error: Mutex<Option<CcError>>,
+}
+
+/// What the sinks have gathered, under one lock.
+struct Accumulated {
+    /// This run's walks, in completion order.
+    run: CrawlDataset,
+    /// The checkpoint log, when the study checkpoints.
+    log: Option<CheckpointLog>,
+    /// How many of `run`'s walks the log holds.
+    saved: usize,
+    /// The failure counters of the walks after those.
+    unsaved_failures: FailureStats,
+}
+
+impl Accumulated {
+    /// Append the walks the log lacks (a no-op without a log).
+    fn save(&mut self, base: &CrawlDataset, truth: &TruthLog) -> Result<(), CcError> {
+        let Some(log) = self.log.as_mut() else {
+            return Ok(());
+        };
+        log.append(
+            base,
+            &self.run.walks[self.saved..],
+            self.unsaved_failures,
+            truth,
+        )?;
+        self.saved = self.run.walks.len();
+        self.unsaved_failures = FailureStats::default();
+        Ok(())
+    }
 }
 
 impl WalkSinks<'_> {
@@ -191,39 +227,37 @@ impl WalkSinks<'_> {
 
     fn record(&self, walk: WalkRecord, failures: FailureStats) {
         let mut acc = self.acc.lock().expect("walk-sink accumulator poisoned");
-        acc.ledger.note(&walk);
-        acc.walks.push(walk);
-        acc.failures.absorb(failures);
-        let done = acc.walks.len();
+        acc.run.ledger.note(&walk);
+        acc.run.walks.push(walk);
+        acc.run.failures.absorb(failures);
+        acc.unsaved_failures.absorb(failures);
+        let done = acc.run.walks.len();
+        if done == self.run_walks {
+            return;
+        }
         let save_due = self.checkpoint.is_some_and(|p| done.is_multiple_of(p.every));
-        let publish_due = self.publish.is_some_and(|p| done.is_multiple_of(p.every));
-        if save_due || publish_due {
-            let partial = CrawlDataset::merge([self.base.clone(), acc.clone()]);
-            // Emit while still holding the lock: checkpoint writes share
-            // one temp file, so concurrent writers would race on the
-            // write-then-rename pair — and serialized emission also keeps
-            // both the on-disk checkpoint and the published snapshot
-            // stream monotonically growing.
-            self.emit(partial, save_due, publish_due);
+        let publish = self.publish.filter(|p| done.is_multiple_of(p.every));
+        if !save_due && publish.is_none() {
+            return;
         }
-    }
-
-    fn emit(&self, partial: CrawlDataset, save: bool, publish: bool) {
-        let ck = CrawlCheckpoint::new(self.study, partial, self.web.truth_snapshot());
-        if save {
-            if let Some(policy) = self.checkpoint {
-                if let Err(e) = ck.save(&policy.path) {
-                    self.error
-                        .lock()
-                        .expect("walk-sink error slot poisoned")
-                        .get_or_insert(e);
-                }
+        // Emit while still holding the lock: appends to the log must not
+        // interleave, and serialized emission also keeps both the
+        // on-disk checkpoint and the published snapshot stream
+        // monotonically growing.
+        let truth = self.web.truth_snapshot();
+        if save_due {
+            if let Err(e) = acc.save(self.base, &truth) {
+                self.error
+                    .lock()
+                    .expect("walk-sink error slot poisoned")
+                    .get_or_insert(e);
             }
         }
-        if publish {
-            if let Some(policy) = self.publish {
-                policy.sink.publish(ck);
-            }
+        if let Some(policy) = publish {
+            let partial = CrawlDataset::merge([self.base.clone(), acc.run.clone()]);
+            policy
+                .sink
+                .publish(CrawlCheckpoint::new(self.study, partial, truth));
         }
     }
 }
@@ -349,31 +383,51 @@ impl<'a> StudyRun<'a> {
             study,
             web,
             base: &base,
-            acc: Mutex::new(CrawlDataset::default()),
+            run_walks: ids.len(),
+            acc: Mutex::new(Accumulated {
+                run: CrawlDataset::default(),
+                log: study
+                    .checkpoint
+                    .as_ref()
+                    .map(|p| CheckpointLog::new(study, &p.path)),
+                saved: 0,
+                unsaved_failures: FailureStats::default(),
+            }),
             error: Mutex::new(None),
         };
-        let sinks = sinks.active().then_some(&sinks);
+        let active = sinks.active().then_some(&sinks);
 
-        let shards = crawl_ids(web, study, &ids, progress, sinks);
+        let shards = crawl_ids(web, study, &ids, progress, active);
 
-        if let Some(s) = sinks {
-            if let Some(e) = s.error.lock().expect("walk-sink error slot poisoned").take() {
-                return Err(e);
-            }
+        if let Some(e) = sinks
+            .error
+            .into_inner()
+            .expect("walk-sink error slot poisoned")
+        {
+            return Err(e);
         }
-
+        let Accumulated {
+            run,
+            log,
+            saved,
+            unsaved_failures,
+        } = sinks
+            .acc
+            .into_inner()
+            .expect("walk-sink accumulator poisoned");
+        // Final emission: a crawl stopped between intervals (or drained by
+        // stop_after) still leaves a current checkpoint behind, and
+        // subscribers always see one snapshot holding every walk run.
+        let truth = (log.is_some() || publish.is_some()).then(|| web.truth_snapshot());
+        if let (Some(log), Some(truth)) = (log, &truth) {
+            log.finish(&base, &run.walks[saved..], unsaved_failures, truth)?;
+        }
+        drop(run);
         let merged = CrawlDataset::merge(std::iter::once(base).chain(shards));
-        if study.checkpoint.is_some() || publish.is_some() {
-            // Final emission: a crawl stopped between intervals (or drained
-            // by stop_after) still leaves a current checkpoint behind, and
-            // subscribers always see one snapshot holding every walk run.
-            let final_ck = CrawlCheckpoint::new(study, merged.clone(), web.truth_snapshot());
-            if let Some(policy) = &study.checkpoint {
-                final_ck.save(&policy.path)?;
-            }
-            if let Some(policy) = &publish {
-                policy.sink.publish(final_ck);
-            }
+        if let (Some(policy), Some(truth)) = (&publish, truth) {
+            policy
+                .sink
+                .publish(CrawlCheckpoint::new(study, merged.clone(), truth));
         }
         Ok(merged)
     }
@@ -701,6 +755,103 @@ mod tests {
     }
 
     #[test]
+    fn the_last_walk_is_emitted_once() {
+        let study = faulty_study(2, None);
+        let sink = Arc::new(RecordingSink {
+            snapshots: Mutex::new(Vec::new()),
+        });
+        let web = generate(&study.web);
+        StudyRun::new(&web, &study)
+            .publish(PublishPolicy::new(
+                4,
+                Arc::clone(&sink) as Arc<dyn SnapshotSink>,
+            ))
+            .run()
+            .unwrap();
+        let counts: Vec<usize> = sink
+            .snapshots
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|s| s.partial.walks.len())
+            .collect();
+        assert_eq!(counts, [4, 8, 12], "one snapshot per distinct walk set");
+    }
+
+    #[test]
+    fn finished_checkpoints_are_canonical() {
+        let canonical = |path: &str| {
+            let bytes = std::fs::read_to_string(path).unwrap();
+            let ck = CrawlCheckpoint::load(path).unwrap();
+            assert_eq!(
+                ck.to_json().unwrap(),
+                bytes,
+                "{path} is not in canonical form"
+            );
+            ck
+        };
+        for workers in [1, 3] {
+            let path = scratch_path(&format!("cc-exec-canonical-{workers}"));
+            let study = faulty_study(workers, Some((&path, 5)));
+            let web = generate(&study.web);
+            let ds = crawl_study(&web, &study).unwrap();
+            assert_eq!(canonical(&path).partial, ds);
+            std::fs::remove_file(&path).ok();
+        }
+
+        // Killed after 7 walks and resumed: both runs end canonical, and
+        // the resumed file equals the uninterrupted one.
+        let path = scratch_path("cc-exec-canonical-resume");
+        let study = faulty_study(2, Some((&path, 3)));
+        crawl_study(&generate(&study.web), &study).unwrap();
+        let full = std::fs::read(&path).unwrap();
+        StudyRun::new(&generate(&study.web), &study)
+            .stop_after(7)
+            .run()
+            .unwrap();
+        let ck = canonical(&path);
+        assert_eq!(ck.partial.walks.len(), 7);
+        StudyRun::new(&generate(&study.web), &study)
+            .resume(ck)
+            .run()
+            .unwrap();
+        canonical(&path);
+        assert_eq!(std::fs::read(&path).unwrap(), full);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn resume_refuses_repeated_and_foreign_walks() {
+        // A 6-walk study resumed from walks 0, 1, 2 plus a second copy of
+        // walk 1 (or a walk past the study's end) must not double-count.
+        let study = StudyConfig::builder()
+            .web(WebConfig::small())
+            .seed(5)
+            .steps(3)
+            .walks(6)
+            .workers(2)
+            .build()
+            .unwrap();
+        let web = generate(&study.web);
+        let done = StudyRun::new(&web, &study).lease(&[0, 1, 2]).unwrap();
+        for (extra, why) in [(1u32, "walk 1 appears twice"), (9, "walk 9 is outside")] {
+            let mut partial = done.clone();
+            let mut copy = partial.walks[1].clone();
+            copy.walk_id = extra;
+            partial.walks.push(copy);
+            let ck = CrawlCheckpoint::new(&study, partial, web.truth_snapshot());
+            let err = StudyRun::new(&generate(&study.web), &study)
+                .resume(ck)
+                .run()
+                .unwrap_err();
+            assert!(
+                matches!(&err, CcError::Checkpoint(msg) if msg.contains(why)),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
     fn publishing_does_not_perturb_crawl_bytes() {
         struct NullSink;
         impl SnapshotSink for NullSink {
@@ -805,10 +956,10 @@ mod tests {
             1,
         );
         assert_ne!(old, json, "the study has a storage field to anchor on");
-        std::fs::write(&path, old).unwrap();
+        std::fs::write(&path, &old).unwrap();
 
+        assert!(old.starts_with(&format!("{{\"schema\":\"{}\"", crate::CHECKPOINT_SCHEMA)));
         let ck = CrawlCheckpoint::load(&path).unwrap();
-        assert_eq!(ck.schema, crate::CHECKPOINT_SCHEMA);
         ck.validate_against(&study).expect("the unknown mode key is ignored");
         let web_resumed = generate(&study.web);
         let resumed = StudyRun::new(&web_resumed, &study).resume(ck).run().unwrap();

@@ -37,7 +37,7 @@ pub mod names;
 pub mod record;
 pub mod walker;
 
-pub use checkpoint::{CrawlCheckpoint, CHECKPOINT_SCHEMA};
+pub use checkpoint::{CheckpointLog, CrawlCheckpoint, CHECKPOINT_SCHEMA};
 pub use config::{CheckpointPolicy, ServePolicy, StudyConfig, StudyConfigBuilder};
 pub use executor::{crawl_study, PublishPolicy, SnapshotSink, StudyRun};
 pub use matching::{same_element, select_shared};

@@ -18,9 +18,10 @@
 //!   study config, crawls each lease through the existing parallel
 //!   executor, and ships dataset shards + truth snapshots back.
 //!
-//! Checkpoint/resume reuses cc-checkpoint/v1 unchanged: the manager saves
-//! on the study's checkpoint policy and resumes from the same files a
-//! single-process run writes.
+//! Checkpoint/resume shares cc-crawler's `cc-checkpoint/v2` writer
+//! ([`cc_crawler::CheckpointLog`]): the manager appends accepted shards on
+//! the study's checkpoint policy, ends with the same canonical file a
+//! single-process run writes, and resumes from either.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -137,6 +138,75 @@ mod tests {
         let outcome = manager.join().unwrap();
         worker.join().unwrap().unwrap();
         assert_eq!(outcome.dataset.walks.len(), 12);
+    }
+
+    /// The manager's checkpoint ends in the same bytes a single-process
+    /// run of the study leaves behind.
+    #[test]
+    fn gaggle_checkpoint_bytes_match_single_process() {
+        let path = std::env::temp_dir().join(format!("cc-gaggle-ck-{}.ccp", std::process::id()));
+        let mut study = small_study(2);
+        study.checkpoint = Some(cc_crawler::CheckpointPolicy {
+            path: path.to_str().unwrap().to_string(),
+            every: 3,
+        });
+        crawl_study(&generate(&study.web), &study).unwrap();
+        let solo = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+
+        let manager = Manager::start(
+            &study,
+            GaggleConfig {
+                lease_walks: 2,
+                ..GaggleConfig::default()
+            },
+            ManagerOptions::default(),
+        )
+        .unwrap();
+        let cfg = WorkerConfig {
+            connect: manager.addr().to_string(),
+            label: "ck".into(),
+        };
+        let worker = std::thread::spawn(move || run_worker(&cfg));
+        manager.join().unwrap();
+        worker.join().unwrap().unwrap();
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            solo,
+            "checkpoint bytes diverged"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A resume checkpoint that repeats a walk or holds one outside the
+    /// study is refused before any lease goes out.
+    #[test]
+    fn resume_refuses_repeated_and_foreign_walks() {
+        let study = small_study(1);
+        let web = generate(&study.web);
+        let done = cc_crawler::StudyRun::new(&web, &study)
+            .lease(&[0, 1, 2])
+            .unwrap();
+        for (extra, why) in [(1u32, "walk 1 appears twice"), (12, "walk 12 is outside")] {
+            let mut partial = done.clone();
+            let mut copy = partial.walks[1].clone();
+            copy.walk_id = extra;
+            partial.walks.push(copy);
+            let ck = cc_crawler::CrawlCheckpoint::new(&study, partial, web.truth_snapshot());
+            let refused = Manager::start(
+                &study,
+                GaggleConfig::default(),
+                ManagerOptions {
+                    resume: Some(ck),
+                    progress: None,
+                },
+            );
+            match refused {
+                Err(cc_util::CcError::Checkpoint(msg)) => assert!(msg.contains(why), "{msg}"),
+                Err(other) => panic!("expected a checkpoint error, got {other}"),
+                Ok(_) => panic!("a manager started from a checkpoint with {why}"),
+            }
+        }
     }
 
     /// An empty study (resume with nothing left) completes immediately.

@@ -21,10 +21,12 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use cc_crawler::{CrawlCheckpoint, CrawlDataset, StudyConfig};
+use cc_crawler::{
+    CheckpointLog, CrawlCheckpoint, CrawlDataset, FailureStats, StudyConfig, WalkRecord,
+};
 use cc_telemetry::CounterId;
 use cc_util::{CcError, ProgressCounters};
-use cc_web::{generate, SimWeb};
+use cc_web::{generate, SimWeb, TruthLog};
 use serde::Serialize;
 
 use crate::wire::{read_frame, write_frame, Frame, FrameError, PROTOCOL};
@@ -129,8 +131,34 @@ struct LeaseState {
     shards: Vec<CrawlDataset>,
     walks_done: usize,
     last_saved_bucket: usize,
+    /// The checkpoint log, when the study checkpoints.
+    log: Option<CheckpointLog>,
+    /// How many of `shards` the log holds.
+    saved_shards: usize,
     stats: GaggleStats,
     error: Option<CcError>,
+}
+
+impl LeaseState {
+    /// Append the accepted shards the log lacks.
+    fn save(&mut self, truth: &TruthLog) -> Result<(), CcError> {
+        let Some(log) = self.log.as_mut() else {
+            return Ok(());
+        };
+        let (walks, failures) = walks_of(&self.shards[self.saved_shards..]);
+        log.append(&self.base, walks, failures, truth)?;
+        self.saved_shards = self.shards.len();
+        Ok(())
+    }
+}
+
+/// The walks of `shards` and their summed failure counters.
+fn walks_of(shards: &[CrawlDataset]) -> (impl Iterator<Item = &WalkRecord>, FailureStats) {
+    let mut failures = FailureStats::default();
+    for shard in shards {
+        failures.absorb(shard.failures);
+    }
+    (shards.iter().flat_map(|s| &s.walks), failures)
 }
 
 struct Shared {
@@ -314,19 +342,16 @@ impl Shared {
         st.shards.push(shard);
 
         // Periodic checkpoint on the same config knob a single-process
-        // run uses. Cadence is per accepted lease (not per walk), so
-        // intermediate files differ run-to-run — only the final artifacts
-        // are byte-pinned, and the final checkpoint is written at join.
+        // run uses, appending the shards accepted since the last save.
+        // Cadence is per accepted lease (not per walk), so intermediate
+        // files differ run-to-run — only the final artifacts are
+        // byte-pinned, and the final checkpoint is written at join.
         if let Some(policy) = &self.study.checkpoint {
             let total = st.base.walks.len() + st.walks_done;
             let bucket = total / policy.every.max(1);
             if bucket > st.last_saved_bucket {
                 st.last_saved_bucket = bucket;
-                let merged = CrawlDataset::merge(
-                    std::iter::once(st.base.clone()).chain(st.shards.iter().cloned()),
-                );
-                let ck = CrawlCheckpoint::new(&self.study, merged, self.web.truth_snapshot());
-                if let Err(e) = ck.save(&policy.path) {
+                if let Err(e) = st.save(&self.web.truth_snapshot()) {
                     st.error.get_or_insert(e);
                 }
             }
@@ -387,6 +412,11 @@ impl Manager {
             outstanding: BTreeMap::new(),
             next_lease_id: 1,
             last_saved_bucket: base.walks.len() / every,
+            log: study
+                .checkpoint
+                .as_ref()
+                .map(|p| CheckpointLog::new(study, &p.path)),
+            saved_shards: 0,
             base,
             shards: Vec::new(),
             walks_done: 0,
@@ -459,18 +489,18 @@ fn run_manager(
     if let Some(e) = st.error.take() {
         return Err(e);
     }
+    if let Some(log) = st.log.take() {
+        // Final emission, same as a single-process run: the file on disk
+        // always ends holding the complete study, in canonical form.
+        let (walks, failures) = walks_of(&st.shards[st.saved_shards..]);
+        log.finish(&st.base, walks, failures, &shared.web.truth_snapshot())?;
+    }
     let base = std::mem::take(&mut st.base);
     let shards = std::mem::take(&mut st.shards);
     let stats = st.stats.clone();
     drop(st);
 
     let dataset = CrawlDataset::merge(std::iter::once(base).chain(shards));
-    if let Some(policy) = &shared.study.checkpoint {
-        // Final emission, same as a single-process run: the file on disk
-        // always ends holding the complete study.
-        let ck = CrawlCheckpoint::new(&shared.study, dataset.clone(), shared.web.truth_snapshot());
-        ck.save(&policy.path)?;
-    }
     Ok(ManagerOutcome {
         web: Arc::clone(&shared.web),
         dataset,

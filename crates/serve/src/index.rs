@@ -12,13 +12,16 @@
 //! same checkpoint — both paths are deterministic, so the served bytes
 //! are verifiable against the offline artifact.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
 
 use cc_analysis::report::{full_report, AnalysisReport, ReportSection};
 use cc_analysis::{classify_redirectors, RedirectorClass};
 use cc_core::pipeline::PipelineOutput;
-use cc_crawler::{CrawlCheckpoint, CrawlDataset};
+use cc_core::WalkExtract;
+use cc_crawler::{CrawlCheckpoint, CrawlDataset, WalkRecord};
 use cc_util::CcError;
 use cc_web::{generate, SimWeb};
 
@@ -95,6 +98,28 @@ impl CachedBody {
     }
 }
 
+/// A walk's `/walks/{id}` body.
+fn walk_body(walk: &WalkRecord) -> Result<CachedBody, CcError> {
+    serde_json::to_string(walk)
+        .map(CachedBody::new)
+        .map_err(|e| CcError::Serde(e.to_string()))
+}
+
+/// The per-walk work a fold keeps across epochs, keyed by walk id: each
+/// walk's pipeline extraction and its `/walks/{id}` body. Sound because
+/// a walk is a pure function of `(study, walk_id)` and the incremental
+/// builder refuses snapshots of another study.
+#[derive(Debug, Default)]
+pub(crate) struct FoldCache {
+    walks: HashMap<u32, CachedWalk>,
+}
+
+#[derive(Debug)]
+struct CachedWalk {
+    extract: WalkExtract,
+    body: CachedBody,
+}
+
 /// Which smuggler class `/smugglers` filters to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SmugglerRole {
@@ -160,33 +185,80 @@ impl ServingIndex {
     /// Build one epoch from an in-memory checkpoint snapshot: the web is
     /// regenerated from the embedded config, the checkpointed truth
     /// ledger restored, and the pipeline + report rerun over the
-    /// snapshotted walks. This is the one code path both offline serving
-    /// (epoch 1 over a finished checkpoint) and followed crawls (one
-    /// call per published snapshot) go through — which is what makes the
-    /// final followed epoch byte-identical to the offline index.
+    /// snapshotted walks. This is a fold with an empty cache — the same
+    /// routine followed crawls fold every published snapshot through,
+    /// which is what makes the final followed epoch byte-identical to
+    /// the offline index.
     pub fn from_checkpoint(ck: &CrawlCheckpoint, epoch: u64) -> Result<ServingIndex, CcError> {
         let web = generate(&ck.study.web);
         Self::fold_with_web(&web, ck, epoch)
     }
 
-    /// [`Self::from_checkpoint`] over a caller-owned world: the
-    /// incremental builder regenerates the web once and reuses it across
-    /// epochs, absorbing each snapshot's truth ledger into it. Absorbing
-    /// is monotone and idempotent (each snapshot's ledger is a superset
-    /// of the previous one's), so a cached world converges to exactly the
-    /// ledger a fresh [`generate`] + absorb of the same snapshot yields.
+    /// [`Self::from_checkpoint`] over a caller-owned world. Absorbing a
+    /// snapshot's truth ledger is monotone and idempotent (each
+    /// snapshot's ledger is a superset of the previous one's), so a
+    /// world reused across epochs converges to exactly the ledger a
+    /// fresh [`generate`] + absorb of the same snapshot yields.
     pub fn fold_with_web(
         web: &SimWeb,
         ck: &CrawlCheckpoint,
         epoch: u64,
     ) -> Result<ServingIndex, CcError> {
+        Self::fold(web, ck, epoch, &mut FoldCache::default(), false)
+    }
+
+    /// The one fold routine. Extracts and encodes only the walks `cache`
+    /// lacks, then runs classification, the report and the remaining
+    /// routes over every walk of the snapshot. With `keep`, the cache
+    /// keeps its entries and the epoch gets copies; without, the epoch
+    /// takes them (the last fold of a crawl, or a fold with no cache).
+    pub(crate) fn fold(
+        web: &SimWeb,
+        ck: &CrawlCheckpoint,
+        epoch: u64,
+        cache: &mut FoldCache,
+        keep: bool,
+    ) -> Result<ServingIndex, CcError> {
+        // A repeated walk id would alias one cache entry.
+        ck.validate_against(&ck.study)?;
         // The regenerated world's ledger is empty (truth accumulates
         // during the crawl); restore the checkpointed ledger so
         // ground-truth-scored sections (species evasion) serve the same
         // bytes as the offline report of the original run.
         web.absorb_truth(&ck.truth);
-        let output = cc_core::run_pipeline(&ck.partial);
-        let mut index = Self::build(web, &ck.partial, &output)?;
+        let walks = &ck.partial.walks;
+        for walk in walks {
+            if let Entry::Vacant(slot) = cache.walks.entry(walk.walk_id) {
+                slot.insert(CachedWalk {
+                    extract: cc_core::extract_walk(walk),
+                    body: walk_body(walk)?,
+                });
+            }
+        }
+        let (output, bodies) = if keep {
+            let cached = |w: &WalkRecord| &cache.walks[&w.walk_id];
+            let output =
+                cc_core::classify_walks(walks.iter().map(|w| Cow::Borrowed(&cached(w).extract)));
+            let bodies: Vec<_> = walks
+                .iter()
+                .map(|w| (w.walk_id, cached(w).body.clone()))
+                .collect();
+            (output, bodies)
+        } else {
+            let mut extracts = Vec::with_capacity(walks.len());
+            let mut bodies = Vec::with_capacity(walks.len());
+            for walk in walks {
+                let taken = cache
+                    .walks
+                    .remove(&walk.walk_id)
+                    .expect("every walk was cached above");
+                extracts.push(Cow::Owned(taken.extract));
+                bodies.push((walk.walk_id, taken.body));
+            }
+            (cc_core::classify_walks(extracts), bodies)
+        };
+        let report = full_report(web, &ck.partial, &output);
+        let mut index = Self::assemble(&report, &output, bodies)?;
         index.set_epoch(epoch, ck.total_walks);
         Ok(index)
     }
@@ -208,6 +280,21 @@ impl ServingIndex {
         dataset: &CrawlDataset,
         output: &PipelineOutput,
     ) -> Result<ServingIndex, CcError> {
+        let bodies = dataset
+            .walks
+            .iter()
+            .map(|w| Ok((w.walk_id, walk_body(w)?)))
+            .collect::<Result<Vec<_>, CcError>>()?;
+        Self::assemble(report, output, bodies)
+    }
+
+    /// Every route from the report, the pipeline output and the walks'
+    /// `/walks/{id}` bodies (in walk order).
+    fn assemble(
+        report: &AnalysisReport,
+        output: &PipelineOutput,
+        walk_bodies: impl IntoIterator<Item = (u32, CachedBody)>,
+    ) -> Result<ServingIndex, CcError> {
         let serde = |e: serde_json::Error| CcError::Serde(e.to_string());
         let mut routes: BTreeMap<String, CachedBody> = BTreeMap::new();
 
@@ -221,11 +308,10 @@ impl ServingIndex {
         }
 
         // One route per walk id.
-        for walk in &dataset.walks {
-            routes.insert(
-                format!("/walks/{}", walk.walk_id),
-                CachedBody::new(serde_json::to_string(walk).map_err(serde)?),
-            );
+        let mut walk_ids: Vec<String> = Vec::new();
+        for (id, body) in walk_bodies {
+            routes.insert(format!("/walks/{id}"), body);
+            walk_ids.push(id.to_string());
         }
 
         // UID findings grouped under every registered domain they touch
@@ -270,7 +356,7 @@ impl ServingIndex {
             }
         }
 
-        let walks = dataset.walks.len();
+        let walks = walk_ids.len();
         let findings = output.findings.len();
         routes.insert(
             "/healthz".into(),
@@ -288,7 +374,6 @@ impl ServingIndex {
             .iter()
             .map(|s| format!("\"{}\"", s.slug()))
             .collect();
-        let walk_ids: Vec<String> = dataset.walks.iter().map(|w| w.walk_id.to_string()).collect();
         let domain_list: Vec<String> = by_domain
             .keys()
             .map(|d| serde_json::to_string(d).map_err(serde))

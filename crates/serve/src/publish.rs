@@ -2,14 +2,16 @@
 //!
 //! Two pieces:
 //!
-//! * [`IncrementalIndexBuilder`] — the pure fold. It caches the
-//!   regenerated simulated web (one [`generate`] per crawl, not per
-//!   epoch), absorbs each snapshot's truth ledger, reruns the pipeline
-//!   over the snapshot's walks, and stamps the result with the next
-//!   epoch number. Every fold goes through the same
-//!   [`ServingIndex::fold_with_web`] path the offline constructor uses,
-//!   which is what makes the final followed epoch byte-identical to an
-//!   offline build over the same checkpoint.
+//! * [`IncrementalIndexBuilder`] — the fold. It keeps the regenerated
+//!   simulated web (one [`generate`] per crawl, not per epoch) and, per
+//!   walk id, each walk's pipeline extraction and `/walks/{id}` body. A
+//!   fold absorbs the snapshot's truth ledger, extracts and encodes only
+//!   the walks it has not seen, then runs classification, the report and
+//!   the remaining routes over every walk, and stamps the result with the
+//!   next epoch number. The offline constructor
+//!   ([`ServingIndex::fold_with_web`]) is the same fold with an empty
+//!   cache, which is what makes the final followed epoch byte-identical
+//!   to an offline build over the same checkpoint.
 //! * [`IndexPublisher`] — the executor-facing sink. It implements
 //!   [`cc_crawler::SnapshotSink`]: crawl workers hand it snapshots and
 //!   return to walking immediately; a dedicated indexer thread drains
@@ -30,16 +32,18 @@ use cc_util::CcError;
 use cc_web::{generate, SimWeb};
 
 use crate::handle::IndexHandle;
-use crate::index::ServingIndex;
+use crate::index::{FoldCache, ServingIndex};
 
 /// Folds successive [`CrawlCheckpoint`] snapshots into numbered
-/// [`ServingIndex`] epochs over one cached simulated web.
+/// [`ServingIndex`] epochs over one cached simulated web and per-walk
+/// cache.
 #[derive(Debug)]
 pub struct IncrementalIndexBuilder {
     study: StudyConfig,
     web: SimWeb,
     epoch: u64,
     walks_indexed: usize,
+    cache: FoldCache,
 }
 
 impl IncrementalIndexBuilder {
@@ -51,6 +55,7 @@ impl IncrementalIndexBuilder {
             web: generate(&study.web),
             epoch: 0,
             walks_indexed: 0,
+            cache: FoldCache::default(),
         }
     }
 
@@ -67,7 +72,8 @@ impl IncrementalIndexBuilder {
     /// grow the indexed walk set (a coalesced duplicate or an out-of-date
     /// follower read) — epochs only ever advance with new walks, which
     /// keeps the `X-Cc-Epoch`/body pairing injective per crawl. Snapshots
-    /// from a different study configuration are refused.
+    /// from a different study configuration are refused, which is what
+    /// keeps the per-walk cache sound.
     pub fn fold(&mut self, ck: &CrawlCheckpoint) -> Result<Option<ServingIndex>, CcError> {
         ck.validate_against(&self.study)?;
         let walks = ck.partial.walks.len();
@@ -76,7 +82,10 @@ impl IncrementalIndexBuilder {
         }
         self.epoch += 1;
         self.walks_indexed = walks;
-        ServingIndex::fold_with_web(&self.web, ck, self.epoch).map(Some)
+        // A complete snapshot is the last one that can advance an epoch,
+        // so its fold takes the cache's entries instead of copying them.
+        let keep = walks < ck.total_walks;
+        ServingIndex::fold(&self.web, ck, self.epoch, &mut self.cache, keep).map(Some)
     }
 
     /// Walks covered by the most recently folded snapshot.

@@ -243,8 +243,10 @@ impl Server {
 
 /// Wait (bounded by `wait_ms`) for the followed checkpoint file to appear
 /// and parse — the crawl being followed may not have written its first
-/// batch yet. Checkpoint writes are atomic (temp file + rename), so a
-/// successful load is never a torn read.
+/// batch yet. A load that races an append sees a torn or uncommitted
+/// batch at the end of the file; the loader drops it and returns the last
+/// complete commit, so a successful load is always a walk set the crawl
+/// really saved, and the next poll picks up the rest.
 fn wait_for_checkpoint(fc: &FollowConfig) -> Result<CrawlCheckpoint, CcError> {
     let deadline = Instant::now() + Duration::from_millis(fc.wait_ms);
     loop {

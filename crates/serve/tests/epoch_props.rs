@@ -11,11 +11,14 @@
 //!    snapshots with different walk sets must change the ETag of every
 //!    route whose body changed (and only those), so a caching client can
 //!    never revalidate a stale body against a fresh epoch.
+//! 3. **The fold cache changes no bytes.** An incremental builder that
+//!    reuses per-walk work across epochs serves exactly what a fold with
+//!    an empty cache serves over the same snapshot.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
 use cc_crawler::{CrawlCheckpoint, PublishPolicy, SnapshotSink, StudyConfig, StudyRun};
-use cc_serve::{last_modified_for_epoch, ServingIndex};
+use cc_serve::{last_modified_for_epoch, IncrementalIndexBuilder, ServingIndex};
 use cc_web::{generate, WebConfig};
 use proptest::prelude::*;
 
@@ -50,7 +53,8 @@ fn snapshots() -> &'static (StudyConfig, Vec<CrawlCheckpoint>) {
             .run()
             .unwrap();
         let mut cks = std::mem::take(&mut *rec.0.lock().unwrap());
-        // The final complete snapshot duplicates the every-walk one.
+        // The final complete snapshot stands in for the last every-walk
+        // one, so no two snapshots should share a walk count.
         cks.dedup_by_key(|ck| ck.partial.walks.len());
         assert_eq!(cks.len(), WALKS, "one snapshot per walk");
         (study, cks)
@@ -116,6 +120,27 @@ proptest! {
             let catalog_b = ib.lookup("/catalog").unwrap();
             prop_assert_ne!(&catalog_a.body, &catalog_b.body);
             prop_assert_ne!(&catalog_a.etag, &catalog_b.etag);
+        }
+    }
+
+    /// Invariant 3: one builder fed an increasing subsequence of the
+    /// snapshots (coalescing skips the rest) serves, after every fold,
+    /// the bodies and ETags of a fresh empty-cache fold of that snapshot.
+    #[test]
+    fn cached_folds_serve_the_bytes_of_fresh_folds(mask in 1u32..(1 << WALKS)) {
+        let (study, cks) = snapshots();
+        let mut builder = IncrementalIndexBuilder::new(study);
+        for (k, ck) in cks.iter().enumerate().filter(|(k, _)| mask & (1 << k) != 0) {
+            let cached = builder.fold(ck).unwrap().expect("a growing snapshot folds");
+            let fresh = fold(ck, cached.epoch());
+            let routes: Vec<_> = cached.routes().map(|(p, b)| (p, &b.body, &b.etag)).collect();
+            let expected: Vec<_> = fresh.routes().map(|(p, b)| (p, &b.body, &b.etag)).collect();
+            prop_assert_eq!(routes.len(), expected.len(), "route sets differ at snapshot {}", k);
+            for (got, want) in routes.iter().zip(&expected) {
+                prop_assert_eq!(got, want, "cached fold diverged at snapshot {}", k);
+            }
+            let all = |i: &ServingIndex| i.smugglers(None, usize::MAX).body;
+            prop_assert_eq!(all(&cached), all(&fresh));
         }
     }
 }
