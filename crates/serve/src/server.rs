@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use cc_crawler::CrawlCheckpoint;
+use cc_crawler::{CrawlCheckpoint, ServePolicy};
 use cc_http::{Request, Response, StatusCode};
 use cc_telemetry::{Collector, RunReport};
 use cc_util::CcError;
@@ -61,6 +61,20 @@ impl Default for ServeConfig {
             workers: 4,
             max_inflight: 64,
             keep_alive_ms: 5_000,
+            debug_delay_ms: 0,
+        }
+    }
+}
+
+impl From<&ServePolicy> for ServeConfig {
+    /// Lower a study's serving policy: its bind address and knobs, and no
+    /// test delay.
+    fn from(policy: &ServePolicy) -> Self {
+        ServeConfig {
+            addr: policy.addr.clone(),
+            workers: policy.workers,
+            max_inflight: policy.max_inflight,
+            keep_alive_ms: policy.keep_alive_ms,
             debug_delay_ms: 0,
         }
     }

@@ -2,32 +2,27 @@
 //!
 //! The paper's pipeline "can be run as an almost entirely automated
 //! pipeline to continuously update blocklists" (§7.2); this CLI is that
-//! automation surface:
+//! automation surface; [`usage`] lists its commands and flags.
 //!
-//! ```text
-//! crumbcruncher report     [opts]            print every table and figure
-//! crumbcruncher crawl      [opts] --out F    run the crawl, dump the dataset JSON
-//! crumbcruncher blocklist  [opts] --out F    run + emit the released blocklist bundle
-//! crumbcruncher defense    [opts]            score the §7 defenses on a fresh crawl
-//! crumbcruncher truth      [opts]            precision/recall against ground truth
-//! crumbcruncher serve      [opts]            serve the results over HTTP (cc-serve)
-//! crumbcruncher loadgen    [opts] --target A generate load against a serve instance
-//! crumbcruncher gaggle     manager|worker    distributed crawl over TCP (cc-gaggle)
-//! ```
-//!
-//! Parsing is a thin layer over [`StudyConfig`]: every flag sets one field
-//! of the unified study configuration, and the parsed config is validated
-//! by [`StudyConfig::validate`] — the CLI adds no policy of its own.
-//! Argument parsing is hand-rolled (the workspace's dependency budget is
-//! deliberately small) and lives in the library so it can be unit-tested.
+//! One table drives parsing and `help`: each row holds a flag's spelling,
+//! value placeholder, help, the invocations that read it, and a setter
+//! into a [`Cli`]. [`parse`] applies the setters in table order, so argv
+//! order never changes the study, and [`StudyConfig::validate`] checks the
+//! result — the CLI adds no policy of its own. [`run`] is one study driver
+//! for in-process and gaggle runs alike, and the analysis pipeline runs
+//! only for the commands that read it. Parsing is hand-rolled (the
+//! workspace's dependency budget is deliberately small) and lives in the
+//! library so it can be unit-tested.
 
-use cc_crawler::{CheckpointPolicy, CrawlCheckpoint, StudyConfig};
+use std::sync::Arc;
+
+use cc_crawler::{CheckpointPolicy, CrawlCheckpoint, CrawlDataset, StudyConfig};
 use cc_net::{BreakerPolicy, RetryPolicy};
-use cc_util::CcError;
+use cc_util::{CcError, ProgressCounters};
 use cc_web::WebConfig;
 
 /// Which subcommand to run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Command {
     /// Print the full analysis report.
     Report,
@@ -46,6 +41,7 @@ pub enum Command {
     /// Distributed crawling: lease walks to workers over TCP (cc-gaggle).
     Gaggle,
     /// Print usage.
+    #[default]
     Help,
 }
 
@@ -61,7 +57,7 @@ pub enum GaggleRole {
 /// Parsed CLI invocation: a subcommand plus the [`StudyConfig`] it runs
 /// against, with the few flags that are about *this invocation* rather
 /// than the study itself (output paths, resume source, telemetry).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Cli {
     /// Subcommand.
     pub command: Command,
@@ -111,7 +107,7 @@ pub struct Cli {
     /// `crawl`: write the live server's bound address here.
     pub serve_addr_file: Option<String>,
     /// `crawl`: publish a fresh serving epoch every K completed walks
-    /// (default 25; requires `--serve-addr`).
+    /// (default 25; live serving only).
     pub publish_every: Option<usize>,
     /// `loadgen`: the serve instance to aim at.
     pub target: Option<String>,
@@ -131,545 +127,297 @@ pub struct Cli {
     pub connect: Option<String>,
     /// `gaggle manager`: planned worker count (sizes progress slots).
     pub workers_expected: Option<usize>,
-    /// Walk ids per lease (`gaggle manager` / `crawl --gaggle`).
+    /// Walk ids per lease (`gaggle manager`, or `crawl` as a gaggle).
     pub lease_walks: Option<usize>,
     /// Lease deadline in milliseconds, renewed by worker heartbeats
-    /// (`gaggle manager` / `crawl --gaggle`).
+    /// (`gaggle manager`, or `crawl` as a gaggle).
     pub lease_timeout_ms: Option<u64>,
     /// `crawl`: run the crawl as a gaggle, spawning N local worker
     /// processes against an in-process manager.
     pub gaggle: Option<usize>,
 }
 
-/// Usage text.
-pub const USAGE: &str = "\
-crumbcruncher — reproduce 'Measuring UID Smuggling in the Wild' (IMC 2022)
+/// The invocations a flag applies to, one bit per [`INVOCATIONS`] row.
+type Scope = u16;
+const REPORT: Scope = 1;
+const CRAWL: Scope = 1 << 1;
+const BLOCKLIST: Scope = 1 << 2;
+const DEFENSE: Scope = 1 << 3;
+const TRUTH: Scope = 1 << 4;
+const SERVE: Scope = 1 << 5;
+const LOADGEN: Scope = 1 << 6;
+const MANAGER: Scope = 1 << 7;
+const WORKER: Scope = 1 << 8;
+/// The study commands: each generates a world and crawls it in process.
+const STUDY: Scope = REPORT | CRAWL | BLOCKLIST | DEFENSE | TRUTH;
+/// Everything that builds a study from the world and crawl flags: the
+/// study commands, `serve` without a checkpoint, and the gaggle manager.
+const WORLD: Scope = STUDY | SERVE | MANAGER;
+/// Everything whose run the telemetry and observability plane reports.
+const RUN: Scope = STUDY | MANAGER;
 
-USAGE:
-  crumbcruncher <COMMAND> [OPTIONS]
+/// The invocations, in scope-bit order: name (the command word, and a
+/// gaggle role after it), command, role and help.
+#[rustfmt::skip]
+const INVOCATIONS: [(&str, Command, Option<GaggleRole>, &str); 10] = [
+    ("report", Command::Report, None, "crawl the simulated web and print every table and figure"),
+    ("crawl", Command::Crawl, None, "run the crawl and write the dataset JSON; no pipeline runs"),
+    ("blocklist", Command::Blocklist, None,
+        "run the pipeline and write the released blocklist bundle"),
+    ("defense", Command::Defense, None, "score the §7 countermeasures against a fresh crawl"),
+    ("truth", Command::Truth, None, "score the pipeline against the simulator's ground truth"),
+    ("serve", Command::Serve, None, "serve the analysis over HTTP: /report, /smugglers, \
+        /uids/{domain}, /walks/{id}, /metrics (runs a study, or loads a checkpoint)"),
+    ("loadgen", Command::Loadgen, None, "drive a running serve instance with weighted load"),
+    ("gaggle manager", Command::Gaggle, Some(GaggleRole::Manager), "own the study: lease the \
+        walk-id space to workers over TCP and assemble their shards, byte-identical to a \
+        single-process run at any worker count, even after a worker is killed"),
+    ("gaggle worker", Command::Gaggle, Some(GaggleRole::Worker), "dial a manager and crawl the \
+        leases it streams; takes no study flags (the whole study arrives in the Welcome frame)"),
+    ("help", Command::Help, None, "print this message"),
+];
 
-COMMANDS:
-  report      crawl the simulated web and print every table and figure
-  crawl       run the crawl and write the dataset JSON (requires --out)
-  blocklist   run the pipeline and write the released blocklist bundle (requires --out)
-  defense     score the §7 countermeasures against a fresh crawl
-  truth       score the pipeline against the simulator's ground truth
-  serve       serve the analysis over HTTP: /report, /smugglers, /uids/{domain},
-              /walks/{id}, /metrics (runs a study, or loads one with --load)
-  loadgen     drive a running serve instance with weighted load (requires --target)
-  gaggle      distributed crawling: 'gaggle manager' leases the walk-id space to
-              workers over TCP; 'gaggle worker' dials in and crawls the leases
-  help        print this message
+/// Applies a flag's value ("" for a switch) to the invocation.
+type Setter = fn(&mut Cli, &str) -> Result<(), String>;
 
-OPTIONS:
-  --seed N         master seed (default 0xC0FFEE)
-  --sites N        number of sites in the world (default 2000)
-  --seeders N      number of seeder domains / walks (default 1000)
-  --steps N        steps per walk (default 10)
-  --walks N        cap the number of walks
-  --species LIST   plant evasion-aware tracker species in the world:
-                   'all' or a comma list of remint,etag,consent,spa,cname
-                   (two trackers per named species; see DESIGN.md §5f)
-  --workers N      crawl with N work-stealing worker threads (0 = one per CPU);
-                   results are bit-identical to the serial crawl
-  --paper-scale    10,000 sites and seeders, as in the paper's §3.1
-
-FAULT TOLERANCE:
-  --failure-rate F     per-connection failure probability in [0, 1]
-                       (default 0.033, the paper's observed rate)
-  --retries N          retry failed connections up to N attempts with
-                       deterministic exponential backoff (0/1 = off)
-  --breaker N          trip a per-host circuit breaker after N consecutive
-                       failures (0 = off; default off)
-  --checkpoint PATH    write a resumable crawl checkpoint to PATH
-  --checkpoint-every K checkpoint every K completed walks (default 100;
-                       requires --checkpoint)
-  --resume PATH        resume a killed crawl from its checkpoint; the final
-                       dataset is identical to an uninterrupted run
-  --kill-after N       stop the crawl gracefully after N new walks (writes
-                       a final checkpoint when --checkpoint is set)
-
-SERVING:
-  --load PATH          serve from a finished crawl checkpoint instead of crawling
-  --follow PATH        serve a crawl *as it runs*: poll its checkpoint file and
-                       swap in a fresh epoch whenever it grows (X-Cc-Epoch /
-                       Last-Modified advance monotonically; /progress reports
-                       walks indexed vs total). The final epoch is byte-identical
-                       to --load of the finished checkpoint
-  --addr HOST:PORT     bind address (default 127.0.0.1:8040; port 0 = ephemeral)
-  --serve-workers N    server worker threads (default 8)
-  --max-inflight N     admission bound; connections beyond it are shed with 503
-  --addr-file PATH     write the bound address (with the real port) to PATH
-  --json               report: print the analysis as canonical JSON — byte-identical
-                       to what a serve instance answers on /report
-
-LIVE SERVING (crawl):
-  --serve-addr HOST:PORT  serve the crawl over HTTP *while it runs*, in-process:
-                          starts at a warming epoch 0, then swaps in a fresh
-                          immutable index epoch as walk batches land; keeps
-                          serving the final epoch after the crawl until
-                          POST /shutdown
-  --serve-addr-file PATH  write the live server's bound address to PATH
-  --publish-every K       publish an epoch every K completed walks (default 25)
-
-DISTRIBUTED CRAWLING (gaggle):
-  gaggle manager [study opts]  own the study: lease walks out, assemble shards;
-                               the final dataset, report, and checkpoint are
-                               byte-identical to a single-process run at any
-                               worker count, even after a worker is killed
-  gaggle worker --connect A    dial the manager at A and crawl leases; workers
-                               take no study flags — the whole study config
-                               arrives in the Welcome frame
-  --bind HOST:PORT         manager bind address (default 127.0.0.1:0, ephemeral)
-  --connect HOST:PORT      manager address a worker dials (required for workers)
-  --workers-expected N     how many workers the operator plans to run — sizes
-                           the /progress slots; late or extra workers still work
-  --lease-walks K          walk ids per lease (default 25; smaller = faster
-                           rebalance and recovery, larger = less frame overhead)
-  --lease-timeout-ms T     lease deadline, renewed by heartbeats (default 3000);
-                           a lease whose holder goes silent past T is re-issued
-  --gaggle N               crawl only: run the crawl as a gaggle by spawning N
-                           local worker processes — output bytes identical to
-                           the in-process crawl
-  --addr-file PATH         manager: write the bound address (real port) to PATH
-
-LOAD GENERATION:
-  --target HOST:PORT      the serve instance to aim at (required for loadgen)
-  --users N               concurrent users, one keep-alive connection each
-                          (default 4; keep at or below the server's workers)
-  --duration-requests N   requests per user (default 250)
-  --mix NAME              task mix: mixed | reports | lookups (default mixed)
-  --bench-out PATH        write the load report JSON (BENCH_serve.json shape)
-
-TELEMETRY:
-  --out PATH       output file for crawl/blocklist
-  --metrics-out P  write the telemetry run report (JSON) to P: counters,
-                   latency histograms (p50/p90/p99), span-tree rollups,
-                   and per-worker crawl progress
-  --trace          print the span tree (wall-clock timings per pipeline
-                   stage) to stderr after the run
-  --trace-out P    write the run's spans as chrome-trace JSON to P, one
-                   track per crawl worker — load it in Perfetto or
-                   chrome://tracing
-  --prom           print the telemetry run report in Prometheus text
-                   exposition format instead of the command's output
-                   (e.g. 'report --prom' for a scrape-able run summary)
-
-OBSERVABILITY (watch the crawl while it runs):
-  --obs-addr HOST:PORT  serve live observability over HTTP from a
-                        background thread during the study: /progress
-                        (per-worker walk counts), /metrics (run report
-                        JSON), /metrics.prom (Prometheus exposition),
-                        /timeseries (snapshot ring). Observation-only:
-                        results are byte-identical with it on or off
-  --obs-addr-file PATH  write the observer's bound address (with the
-                        real port) to PATH (requires --obs-addr)
-  --dashboard-out PATH  write a self-contained single-file HTML
-                        dashboard (throughput, latency quantiles,
-                        inflight, starvation over time) when the run ends
-";
-
-/// Parse argv (without the program name).
-pub fn parse(args: &[String]) -> Result<Cli, CcError> {
-    let mut command = None;
-    let mut study = StudyConfig {
-        web: WebConfig {
-            n_sites: 2_000,
-            n_seeders: 1_000,
-            ..WebConfig::default()
-        },
-        ..StudyConfig::default()
-    };
-    let mut workers = None;
-    let mut resume = None;
-    let mut kill_after = None;
-    let mut checkpoint_path: Option<String> = None;
-    let mut checkpoint_every: Option<usize> = None;
-    let mut out = None;
-    let mut metrics_out = None;
-    let mut trace = false;
-    let mut trace_out = None;
-    let mut prom = false;
-    let mut obs_addr = None;
-    let mut obs_addr_file = None;
-    let mut dashboard_out = None;
-    let mut json = false;
-    let mut load = None;
-    let mut follow = None;
-    let mut addr_file = None;
-    let mut serve_addr = None;
-    let mut serve_addr_file = None;
-    let mut publish_every = None;
-    let mut target = None;
-    let mut users = None;
-    let mut duration_requests = None;
-    let mut mix = None;
-    let mut bench_out = None;
-    let mut gaggle_role: Option<GaggleRole> = None;
-    let mut bind = None;
-    let mut connect = None;
-    let mut workers_expected = None;
-    let mut lease_walks = None;
-    let mut lease_timeout_ms = None;
-    let mut gaggle = None;
-
-    // Every flag sets exactly one thing; a repeated flag is always a
-    // mistake (usually an edited command line), so reject it by name
-    // instead of silently letting the last occurrence win.
-    let mut seen_flags: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
-
-    let mut it = args.iter().peekable();
-    while let Some(arg) = it.next() {
-        if arg.starts_with("--") && !seen_flags.insert(arg.as_str()) {
-            return Err(CcError::cli(format!(
-                "duplicate flag {arg}: each flag may be given at most once"
-            )));
-        }
-        match arg.as_str() {
-            "report" | "crawl" | "blocklist" | "defense" | "truth" | "serve" | "loadgen"
-            | "gaggle" | "help" => {
-                if command.is_some() {
-                    return Err(CcError::cli(format!("unexpected second command {arg:?}")));
-                }
-                command = Some(match arg.as_str() {
-                    "report" => Command::Report,
-                    "crawl" => Command::Crawl,
-                    "blocklist" => Command::Blocklist,
-                    "defense" => Command::Defense,
-                    "truth" => Command::Truth,
-                    "serve" => Command::Serve,
-                    "loadgen" => Command::Loadgen,
-                    "gaggle" => Command::Gaggle,
-                    _ => Command::Help,
-                });
-            }
-            // Gaggle roles are positional, right after the command:
-            // `gaggle manager [opts]` / `gaggle worker --connect A`.
-            "manager" | "worker" => {
-                if command != Some(Command::Gaggle) {
-                    return Err(CcError::cli(format!(
-                        "{arg:?} is a gaggle role (usage: gaggle {arg} [opts])"
-                    )));
-                }
-                if gaggle_role.is_some() {
-                    return Err(CcError::cli(format!("unexpected second gaggle role {arg:?}")));
-                }
-                gaggle_role = Some(if arg == "manager" {
-                    GaggleRole::Manager
-                } else {
-                    GaggleRole::Worker
-                });
-            }
-            "--seed" => {
-                let v = numeric(&mut it, "--seed")?;
-                study.web.seed = v;
-                study.seed = v;
-            }
-            "--sites" => study.web.n_sites = numeric(&mut it, "--sites")? as usize,
-            "--seeders" => study.web.n_seeders = numeric(&mut it, "--seeders")? as usize,
-            "--steps" => study.steps = numeric(&mut it, "--steps")? as usize,
-            "--walks" => study.walks = Some(numeric(&mut it, "--walks")? as usize),
-            "--workers" => {
-                let n = numeric(&mut it, "--workers")? as usize;
-                // 0 means "use every CPU", like `make -j` without a count.
-                workers = Some(if n == 0 {
-                    std::thread::available_parallelism().map_or(1, |n| n.get())
-                } else {
-                    n
-                });
-            }
-            "--species" => {
-                let spec = path_arg(&mut it, "--species")?;
-                apply_species(&mut study.web, &spec)?;
-            }
-            "--paper-scale" => {
-                let seed = study.web.seed;
-                study.web = WebConfig::paper_scale();
-                study.web.seed = seed;
-            }
-            "--failure-rate" => study.failure_rate = float(&mut it, "--failure-rate")?,
-            "--retries" => {
-                let n = numeric(&mut it, "--retries")? as u32;
-                study.retry = if n <= 1 {
-                    RetryPolicy::disabled()
-                } else {
-                    RetryPolicy {
-                        attempts: n,
-                        ..RetryPolicy::standard()
-                    }
-                };
-            }
-            "--breaker" => {
-                let n = numeric(&mut it, "--breaker")? as u32;
-                study.breaker = if n == 0 {
-                    BreakerPolicy::disabled()
-                } else {
-                    BreakerPolicy {
-                        failure_threshold: n,
-                        ..BreakerPolicy::standard()
-                    }
-                };
-            }
-            "--checkpoint" => checkpoint_path = Some(path_arg(&mut it, "--checkpoint")?),
-            "--checkpoint-every" => {
-                checkpoint_every = Some(numeric(&mut it, "--checkpoint-every")? as usize)
-            }
-            "--resume" => resume = Some(path_arg(&mut it, "--resume")?),
-            "--kill-after" => kill_after = Some(numeric(&mut it, "--kill-after")? as usize),
-            "--out" => out = Some(path_arg(&mut it, "--out")?),
-            "--metrics-out" => metrics_out = Some(path_arg(&mut it, "--metrics-out")?),
-            "--trace" => trace = true,
-            "--trace-out" => trace_out = Some(path_arg(&mut it, "--trace-out")?),
-            "--prom" => prom = true,
-            "--obs-addr" => obs_addr = Some(path_arg(&mut it, "--obs-addr")?),
-            "--obs-addr-file" => obs_addr_file = Some(path_arg(&mut it, "--obs-addr-file")?),
-            "--dashboard-out" => dashboard_out = Some(path_arg(&mut it, "--dashboard-out")?),
-            "--json" => json = true,
-            "--load" => load = Some(path_arg(&mut it, "--load")?),
-            "--follow" => follow = Some(path_arg(&mut it, "--follow")?),
-            "--addr" => study.serve.addr = path_arg(&mut it, "--addr")?,
-            "--serve-addr" => serve_addr = Some(path_arg(&mut it, "--serve-addr")?),
-            "--serve-addr-file" => {
-                serve_addr_file = Some(path_arg(&mut it, "--serve-addr-file")?)
-            }
-            "--publish-every" => {
-                publish_every = Some(numeric(&mut it, "--publish-every")? as usize)
-            }
-            "--serve-workers" => {
-                study.serve.workers = numeric(&mut it, "--serve-workers")? as usize
-            }
-            "--max-inflight" => {
-                study.serve.max_inflight = numeric(&mut it, "--max-inflight")? as usize
-            }
-            "--addr-file" => addr_file = Some(path_arg(&mut it, "--addr-file")?),
-            "--target" => target = Some(path_arg(&mut it, "--target")?),
-            "--users" => users = Some(numeric(&mut it, "--users")? as usize),
-            "--duration-requests" => {
-                duration_requests = Some(numeric(&mut it, "--duration-requests")? as usize)
-            }
-            "--mix" => mix = Some(path_arg(&mut it, "--mix")?),
-            "--bench-out" => bench_out = Some(path_arg(&mut it, "--bench-out")?),
-            "--bind" => bind = Some(path_arg(&mut it, "--bind")?),
-            "--connect" => connect = Some(path_arg(&mut it, "--connect")?),
-            "--workers-expected" => {
-                workers_expected = Some(numeric(&mut it, "--workers-expected")? as usize)
-            }
-            "--lease-walks" => lease_walks = Some(numeric(&mut it, "--lease-walks")? as usize),
-            "--lease-timeout-ms" => {
-                lease_timeout_ms = Some(numeric(&mut it, "--lease-timeout-ms")?)
-            }
-            "--gaggle" => gaggle = Some(numeric(&mut it, "--gaggle")? as usize),
-            other => return Err(CcError::cli(format!("unknown argument {other:?}"))),
-        }
-    }
-
-    study.workers = workers.unwrap_or(1);
-    match (checkpoint_path, checkpoint_every) {
-        (Some(path), every) => {
-            study.checkpoint = Some(CheckpointPolicy {
-                path,
-                every: every.unwrap_or(100),
-            })
-        }
-        (None, Some(_)) => {
-            return Err(CcError::cli("--checkpoint-every requires --checkpoint PATH"))
-        }
-        (None, None) => {}
-    }
-    study.validate()?;
-
-    let command = command.ok_or_else(|| CcError::cli("no command given"))?;
-    if matches!(command, Command::Crawl | Command::Blocklist) && out.is_none() {
-        return Err(CcError::cli(
-            format!("{command:?} requires --out PATH").to_lowercase(),
-        ));
-    }
-    if command == Command::Loadgen && target.is_none() {
-        return Err(CcError::cli("loadgen requires --target HOST:PORT"));
-    }
-    if obs_addr_file.is_some() && obs_addr.is_none() {
-        return Err(CcError::cli("--obs-addr-file requires --obs-addr HOST:PORT"));
-    }
-    if follow.is_some() {
-        if command != Command::Serve {
-            return Err(CcError::cli("--follow applies to the serve command"));
-        }
-        if load.is_some() {
-            return Err(CcError::cli(
-                "--load and --follow are mutually exclusive: --load serves a finished \
-                 checkpoint, --follow tracks a growing one",
-            ));
-        }
-    }
-    if serve_addr.is_some() && command != Command::Crawl {
-        return Err(CcError::cli(
-            "--serve-addr applies to the crawl command (serve the crawl as it runs)",
-        ));
-    }
-    if serve_addr.is_none() {
-        for (flag, set) in [
-            ("--serve-addr-file", serve_addr_file.is_some()),
-            ("--publish-every", publish_every.is_some()),
-        ] {
-            if set {
-                return Err(CcError::cli(format!("{flag} requires --serve-addr HOST:PORT")));
-            }
-        }
-    }
-    if publish_every == Some(0) {
-        return Err(CcError::cli("--publish-every must be at least 1"));
-    }
-    // The observability plane watches a study run; serve and loadgen have
-    // their own metrics surfaces (cc-serve's /metrics, BENCH_serve.json).
-    if matches!(command, Command::Serve | Command::Loadgen | Command::Help) {
-        for (flag, set) in [
-            ("--obs-addr", obs_addr.is_some()),
-            ("--trace-out", trace_out.is_some()),
-            ("--dashboard-out", dashboard_out.is_some()),
-            ("--prom", prom),
-        ] {
-            if set {
-                return Err(CcError::cli(format!(
-                    "{flag} applies to study commands (report/crawl/blocklist/defense/truth), \
-                     not {command:?}"
-                )
-                .to_lowercase()));
-            }
-        }
-    }
-    if let Some(name) = mix.as_deref() {
-        if cc_loadgen::TaskMix::named(name).is_none() {
-            return Err(CcError::cli(format!(
-                "unknown mix {name:?} (expected one of {:?})",
-                cc_loadgen::TaskMix::NAMES
-            )));
-        }
-    }
-    if command == Command::Gaggle && gaggle_role.is_none() {
-        return Err(CcError::cli(
-            "gaggle requires a role: 'gaggle manager [opts]' or 'gaggle worker --connect A'",
-        ));
-    }
-    match gaggle_role {
-        Some(GaggleRole::Worker) => {
-            if connect.is_none() {
-                return Err(CcError::cli("gaggle worker requires --connect HOST:PORT"));
-            }
-            // A worker carries no study or artifact flags: the entire
-            // study arrives in the Welcome frame, and its telemetry ships
-            // to the manager over the wire.
-            for (flag, set) in [
-                ("--bind", bind.is_some()),
-                ("--workers-expected", workers_expected.is_some()),
-                ("--lease-walks", lease_walks.is_some()),
-                ("--lease-timeout-ms", lease_timeout_ms.is_some()),
-                ("--addr-file", addr_file.is_some()),
-                ("--out", out.is_some()),
-                ("--resume", resume.is_some()),
-                ("--checkpoint", study.checkpoint.is_some()),
-                ("--metrics-out", metrics_out.is_some()),
-                ("--trace", trace),
-                ("--trace-out", trace_out.is_some()),
-                ("--prom", prom),
-                ("--obs-addr", obs_addr.is_some()),
-                ("--dashboard-out", dashboard_out.is_some()),
-            ] {
-                if set {
-                    return Err(CcError::cli(format!(
-                        "{flag} applies to the gaggle manager, not a worker \
-                         (workers get everything from the manager's Welcome)"
-                    )));
-                }
-            }
-        }
-        Some(GaggleRole::Manager) => {
-            if connect.is_some() {
-                return Err(CcError::cli(
-                    "--connect applies to the gaggle worker; the manager binds (--bind)",
-                ));
-            }
-        }
-        None => {
-            for (flag, set) in [
-                ("--bind", bind.is_some()),
-                ("--connect", connect.is_some()),
-                ("--workers-expected", workers_expected.is_some()),
-            ] {
-                if set {
-                    return Err(CcError::cli(format!("{flag} applies to the gaggle command")));
-                }
-            }
-            if (lease_walks.is_some() || lease_timeout_ms.is_some()) && gaggle.is_none() {
-                return Err(CcError::cli(
-                    "--lease-walks/--lease-timeout-ms apply to a gaggle \
-                     (gaggle manager, or crawl --gaggle N)",
-                ));
-            }
-        }
-    }
-    if let Some(n) = gaggle {
-        if command != Command::Crawl {
-            return Err(CcError::cli(
-                "--gaggle N applies to the crawl command (spawn N local gaggle workers)",
-            ));
-        }
-        if n == 0 {
-            return Err(CcError::cli("--gaggle must spawn at least 1 worker"));
-        }
-        if serve_addr.is_some() {
-            return Err(CcError::cli(
-                "--serve-addr and --gaggle are incompatible: live serving follows \
-                 the in-process executor",
-            ));
-        }
-        if kill_after.is_some() {
-            return Err(CcError::cli(
-                "--kill-after drains the in-process crawl; to exercise gaggle \
-                 recovery, kill a worker process instead",
-            ));
-        }
-    }
-    Ok(Cli {
-        command,
-        study,
-        workers,
-        resume,
-        kill_after,
-        out,
-        metrics_out,
-        trace,
-        trace_out,
-        prom,
-        obs_addr,
-        obs_addr_file,
-        dashboard_out,
-        json,
-        load,
-        follow,
-        addr_file,
-        serve_addr,
-        serve_addr_file,
-        publish_every,
-        target,
-        users,
-        duration_requests,
-        mix,
-        bench_out,
-        gaggle_role,
-        bind,
-        connect,
-        workers_expected,
-        lease_walks,
-        lease_timeout_ms,
-        gaggle,
-    })
+/// One row of the flag table.
+struct Flag {
+    /// The spelling, `--name`.
+    name: &'static str,
+    /// The value's placeholder in help (`N`, `PATH`); empty for a switch.
+    value: &'static str,
+    /// The invocations that read the flag; every other one refuses it.
+    scope: Scope,
+    /// Help text, word-wrapped by [`usage`].
+    help: &'static str,
+    set: Setter,
+    /// The invocations that cannot run without the flag.
+    required_by: Scope,
+    /// A flag this one qualifies, which must then be given too wherever
+    /// it is in scope.
+    needs: Option<&'static str>,
 }
 
-/// Apply a `--species` spec to the web config: `all` plants every species,
+const fn flag(
+    name: &'static str,
+    value: &'static str,
+    scope: Scope,
+    help: &'static str,
+    set: Setter,
+) -> Flag {
+    Flag {
+        name,
+        value,
+        scope,
+        help,
+        set,
+        required_by: 0,
+        needs: None,
+    }
+}
+
+impl Flag {
+    const fn required_by(mut self, scope: Scope) -> Flag {
+        self.required_by = scope;
+        self
+    }
+
+    const fn needs(mut self, flag: &'static str) -> Flag {
+        self.needs = Some(flag);
+        self
+    }
+}
+
+// The spellings that the driver, the cross-flag rules or other rows name;
+// every other spelling occurs only in its row.
+const CHECKPOINT: &str = "--checkpoint";
+const KILL_AFTER: &str = "--kill-after";
+const LOAD: &str = "--load";
+const FOLLOW: &str = "--follow";
+const SERVE_ADDR: &str = "--serve-addr";
+const GAGGLE: &str = "--gaggle";
+const CONNECT: &str = "--connect";
+const OUT: &str = "--out";
+const METRICS_OUT: &str = "--metrics-out";
+const TRACE_OUT: &str = "--trace-out";
+const OBS_ADDR: &str = "--obs-addr";
+const DASHBOARD_OUT: &str = "--dashboard-out";
+
+/// The cross-flag rules no row can state: flags that exclude each other,
+/// and why.
+#[rustfmt::skip]
+const EXCLUSIVE: [(&str, &str, &str); 3] = [
+    (LOAD, FOLLOW, "one serves a finished checkpoint, the other tracks a growing one"),
+    (SERVE_ADDR, GAGGLE, "live serving follows the in-process executor"),
+    (KILL_AFTER, GAGGLE, "a drain stops the in-process crawl; kill a gaggle worker instead"),
+];
+
+/// The flag table, by help section. [`parse`] applies the setters in this
+/// order whatever the order of argv, so a row that replaces a whole value
+/// (the paper-scale world) precedes the rows that refine it, and a row
+/// that amends another's value (the checkpoint interval) follows it.
+#[rustfmt::skip]
+const SECTIONS: &[(&str, &[Flag])] = &[("OPTIONS", &[
+    flag("--paper-scale", "", WORLD, "10,000 sites and seeders, as in the paper's §3.1; the \
+        other world flags refine it", |c, _| set(&mut c.study.web, WebConfig::paper_scale())),
+    flag("--seed", "N", WORLD | LOADGEN, "master seed (default 0xC0FFEE)",
+        |c, v| num(v).map(|seed| (c.study.seed, c.study.web.seed) = (seed, seed))),
+    flag("--sites", "N", WORLD, "number of sites in the world (default 2000)",
+        |c, v| set(&mut c.study.web.n_sites, num(v)?)),
+    flag("--seeders", "N", WORLD, "number of seeder domains / walks (default 1000)",
+        |c, v| set(&mut c.study.web.n_seeders, num(v)?)),
+    flag("--steps", "N", WORLD, "steps per walk (default 10)",
+        |c, v| set(&mut c.study.steps, num(v)?)),
+    flag("--walks", "N", WORLD, "cap the number of walks",
+        |c, v| set(&mut c.study.walks, Some(num(v)?))),
+    flag("--species", "LIST", WORLD, "plant evasion-aware tracker species in the world: 'all' \
+        or a comma list of remint,etag,consent,spa,cname (two trackers per named species; see \
+        DESIGN.md §5f)", |c, v| species(&mut c.study.web, v)),
+    flag("--workers", "N", WORLD, "crawl with N work-stealing worker threads (0 = one per \
+        CPU); results are bit-identical to the serial crawl", |c, v| {
+        // 0 means "use every CPU", like `make -j` without a count.
+        let n = match num(v)? {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        };
+        c.workers = Some(n);
+        set(&mut c.study.workers, n)
+    }),
+]), ("FAULT TOLERANCE", &[
+    flag("--failure-rate", "F", WORLD, "per-connection failure probability in [0, 1] (default \
+        0.033, the paper's observed rate)", |c, v| set(&mut c.study.failure_rate,
+        v.trim().parse().map_err(|_| format!("{v:?} is not a number"))?)),
+    flag("--retries", "N", WORLD, "retry failed connections up to N attempts with \
+        deterministic exponential backoff (0/1 = off)", |c, v| set(&mut c.study.retry,
+        match num(v)? {
+            0 | 1 => RetryPolicy::disabled(),
+            attempts => RetryPolicy { attempts, ..RetryPolicy::standard() },
+        })),
+    flag("--breaker", "N", WORLD, "trip a per-host circuit breaker after N consecutive \
+        failures (0 = off; default off)", |c, v| set(&mut c.study.breaker, match num(v)? {
+            0 => BreakerPolicy::disabled(),
+            failure_threshold => BreakerPolicy { failure_threshold, ..BreakerPolicy::standard() },
+        })),
+    flag(CHECKPOINT, "PATH", WORLD, "write a resumable crawl checkpoint to PATH",
+        |c, v| set(&mut c.study.checkpoint, Some(CheckpointPolicy { path: v.into(), every: 100 }))),
+    flag("--checkpoint-every", "K", WORLD, "checkpoint every K completed walks (default 100)",
+        |c, v| set(&mut c.study.checkpoint.as_mut().expect("set by the needed row").every,
+            num(v)?)).needs(CHECKPOINT),
+    flag("--resume", "PATH", RUN, "resume a killed crawl from its checkpoint; the final \
+        dataset is identical to an uninterrupted run", |c, v| set(&mut c.resume, Some(v.into()))),
+    flag(KILL_AFTER, "N", STUDY, "stop the crawl gracefully after N new walks (and write a \
+        final checkpoint when checkpointing)", |c, v| set(&mut c.kill_after, Some(num(v)?))),
+]), ("SERVING", &[
+    flag(LOAD, "PATH", SERVE, "serve from a finished crawl checkpoint instead of crawling",
+        |c, v| set(&mut c.load, Some(v.into()))),
+    flag(FOLLOW, "PATH", SERVE, "serve a crawl *as it runs*: poll its checkpoint file and swap \
+        in a fresh epoch whenever it grows (X-Cc-Epoch / Last-Modified advance monotonically; \
+        /progress reports walks indexed vs total). The final epoch is byte-identical to serving \
+        the finished checkpoint", |c, v| set(&mut c.follow, Some(v.into()))),
+    flag("--addr", "HOST:PORT", SERVE, "bind address (default 127.0.0.1:8040; port 0 = \
+        ephemeral)", |c, v| set(&mut c.study.serve.addr, v.into())),
+    flag("--serve-workers", "N", SERVE | CRAWL, "server worker threads (default 8)",
+        |c, v| set(&mut c.study.serve.workers, num(v)?)),
+    flag("--max-inflight", "N", SERVE | CRAWL, "admission bound; connections beyond it are \
+        shed with 503", |c, v| set(&mut c.study.serve.max_inflight, num(v)?)),
+    flag("--addr-file", "PATH", SERVE | MANAGER | CRAWL, "write the bound address (with the \
+        real port) of the server or the gaggle manager to PATH",
+        |c, v| set(&mut c.addr_file, Some(v.into()))).needs(GAGGLE),
+    flag("--json", "", REPORT, "print the analysis as canonical JSON — byte-identical to what \
+        a serve instance answers on /report", |c, _| set(&mut c.json, true)),
+]), ("LIVE SERVING (crawl)", &[
+    flag(SERVE_ADDR, "HOST:PORT", CRAWL, "serve the crawl over HTTP *while it runs*, \
+        in-process: starts at a warming epoch 0, then swaps in a fresh immutable index epoch \
+        as walk batches land; keeps serving the final epoch after the crawl until POST \
+        /shutdown", |c, v| set(&mut c.serve_addr, Some(v.into()))),
+    flag("--serve-addr-file", "PATH", CRAWL, "write the live server's bound address to PATH",
+        |c, v| set(&mut c.serve_addr_file, Some(v.into()))).needs(SERVE_ADDR),
+    flag("--publish-every", "K", CRAWL, "publish an epoch every K completed walks (default 25)",
+        |c, v| match num(v)? {
+            0 => Err("must be at least 1".into()),
+            every => set(&mut c.publish_every, Some(every)),
+        }).needs(SERVE_ADDR),
+]), ("DISTRIBUTED CRAWLING (gaggle)", &[
+    flag("--bind", "HOST:PORT", MANAGER, "manager bind address (default 127.0.0.1:0, \
+        ephemeral)", |c, v| set(&mut c.bind, Some(v.into()))),
+    flag(CONNECT, "HOST:PORT", WORKER, "manager address a worker dials",
+        |c, v| set(&mut c.connect, Some(v.into()))).required_by(WORKER),
+    flag("--workers-expected", "N", MANAGER, "how many workers the operator plans to run — \
+        sizes the /progress slots; late or extra workers still work",
+        |c, v| set(&mut c.workers_expected, Some(num(v)?))),
+    flag("--lease-walks", "K", MANAGER | CRAWL, "walk ids per lease (default 25; smaller = \
+        faster rebalance and recovery, larger = less frame overhead)",
+        |c, v| set(&mut c.lease_walks, Some(num(v)?))).needs(GAGGLE),
+    flag("--lease-timeout-ms", "T", MANAGER | CRAWL, "lease deadline, renewed by heartbeats \
+        (default 3000); a lease whose holder goes silent past T is re-issued",
+        |c, v| set(&mut c.lease_timeout_ms, Some(num(v)?))).needs(GAGGLE),
+    flag(GAGGLE, "N", CRAWL, "run the crawl as a gaggle by spawning N local worker processes \
+        — output bytes identical to the in-process crawl", |c, v| match num(v)? {
+        0 => Err("must spawn at least 1 worker".into()),
+        n => set(&mut c.gaggle, Some(n)),
+    }),
+]), ("LOAD GENERATION (loadgen)", &[
+    flag("--target", "HOST:PORT", LOADGEN, "the serve instance to aim at",
+        |c, v| set(&mut c.target, Some(v.into()))).required_by(LOADGEN),
+    flag("--users", "N", LOADGEN, "concurrent users, one keep-alive connection each (default \
+        4; keep at or below the server's workers)", |c, v| set(&mut c.users, Some(num(v)?))),
+    flag("--duration-requests", "N", LOADGEN, "requests per user (default 250)",
+        |c, v| set(&mut c.duration_requests, Some(num(v)?))),
+    flag("--mix", "NAME", LOADGEN, "task mix: mixed | reports | lookups (default mixed)",
+        |c, v| match cc_loadgen::TaskMix::named(v) {
+            Some(_) => set(&mut c.mix, Some(v.into())),
+            None => Err(format!("unknown mix {v:?} (expected {:?})", cc_loadgen::TaskMix::NAMES)),
+        }),
+    flag("--bench-out", "PATH", LOADGEN, "write the load report JSON (BENCH_serve.json shape)",
+        |c, v| set(&mut c.bench_out, Some(v.into()))),
+]), ("TELEMETRY", &[
+    flag(OUT, "PATH", CRAWL | BLOCKLIST | MANAGER, "output file: the dataset JSON, or the \
+        blocklist bundle", |c, v| set(&mut c.out, Some(v.into()))).required_by(CRAWL | BLOCKLIST),
+    flag(METRICS_OUT, "PATH", RUN | SERVE, "write the telemetry run report (JSON) to PATH: \
+        counters, latency histograms (p50/p90/p99), span-tree rollups, and per-worker crawl \
+        progress", |c, v| set(&mut c.metrics_out, Some(v.into()))),
+    flag("--trace", "", RUN, "print the span tree (wall-clock timings per pipeline stage) to \
+        stderr after the run", |c, _| set(&mut c.trace, true)),
+    flag(TRACE_OUT, "PATH", RUN, "write the run's spans as chrome-trace JSON to PATH, one \
+        track per crawl worker — load it in Perfetto or chrome://tracing",
+        |c, v| set(&mut c.trace_out, Some(v.into()))),
+    flag("--prom", "", RUN, "print the telemetry run report in Prometheus text exposition format \
+        instead of the command's output (a scrape-able summary)", |c, _| set(&mut c.prom, true)),
+]), ("OBSERVABILITY (watch the run while it goes)", &[
+    flag(OBS_ADDR, "HOST:PORT", RUN, "serve live observability over HTTP from a background \
+        thread during the study: /progress (per-worker walk counts), /metrics (run report \
+        JSON), /metrics.prom (Prometheus exposition), /timeseries (snapshot ring). \
+        Observation-only: results are byte-identical with it on or off",
+        |c, v| set(&mut c.obs_addr, Some(v.into()))),
+    flag("--obs-addr-file", "PATH", RUN, "write the observer's bound address (with the real \
+        port) to PATH", |c, v| set(&mut c.obs_addr_file, Some(v.into()))).needs(OBS_ADDR),
+    flag(DASHBOARD_OUT, "PATH", RUN, "write a self-contained single-file HTML dashboard \
+        (throughput, latency quantiles, inflight, starvation over time) when the run ends",
+        |c, v| set(&mut c.dashboard_out, Some(v.into()))),
+])];
+
+fn set<T>(slot: &mut T, value: T) -> Result<(), String> {
+    *slot = value;
+    Ok(())
+}
+
+/// A number: decimal, or hex after `0x`.
+fn num<T: TryFrom<u64>>(v: &str) -> Result<T, String> {
+    let raw = v.trim();
+    let n = match raw.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => raw.parse(),
+    };
+    n.ok()
+        .and_then(|n| T::try_from(n).ok())
+        .ok_or_else(|| format!("{v:?} is not a number"))
+}
+
+/// Apply a species spec to the web config: `all` plants every species,
 /// a comma list plants the named ones. Each named species gets the same
-/// two-tracker population `WebConfig::all_species` uses, so `--species all`
-/// and `--species remint,etag,consent,spa,cname` are the same world.
-fn apply_species(web: &mut WebConfig, spec: &str) -> Result<(), CcError> {
+/// two-tracker population `WebConfig::all_species` uses, so `all` and
+/// `remint,etag,consent,spa,cname` are the same world.
+fn species(web: &mut WebConfig, spec: &str) -> Result<(), String> {
     if spec.trim() == "all" {
         *web = std::mem::take(web).all_species();
         return Ok(());
@@ -682,75 +430,237 @@ fn apply_species(web: &mut WebConfig, spec: &str) -> Result<(), CcError> {
             "spa" => web.n_spa = 2,
             "cname" => web.n_cname = 2,
             other => {
-                return Err(CcError::cli(format!(
-                    "--species: unknown species {other:?} \
+                return Err(format!(
+                    "unknown species {other:?} \
                      (expected 'all' or a comma list of remint,etag,consent,spa,cname)"
-                )))
+                ))
             }
         }
     }
     Ok(())
 }
 
-fn numeric(
-    it: &mut std::iter::Peekable<std::slice::Iter<'_, String>>,
-    flag: &str,
-) -> Result<u64, CcError> {
-    let raw = it
-        .next()
-        .ok_or_else(|| CcError::cli(format!("{flag} needs a number")))?;
-    let raw = raw.trim();
-    let parsed = if let Some(hex) = raw.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16)
-    } else {
-        raw.parse()
-    };
-    parsed.map_err(|_| CcError::cli(format!("{flag}: {raw:?} is not a number")))
+/// Every row of the flag table, in table order.
+fn flags() -> impl Iterator<Item = &'static Flag> {
+    SECTIONS.iter().flat_map(|(_, rows)| rows.iter())
 }
 
-fn float(
-    it: &mut std::iter::Peekable<std::slice::Iter<'_, String>>,
-    flag: &str,
-) -> Result<f64, CcError> {
-    let raw = it
-        .next()
-        .ok_or_else(|| CcError::cli(format!("{flag} needs a number")))?;
-    raw.trim()
-        .parse()
-        .map_err(|_| CcError::cli(format!("{flag}: {raw:?} is not a number")))
+/// The row spelled `name`, for a name the table itself holds.
+fn row(name: &str) -> &'static Flag {
+    flags()
+        .find(|f| f.name == name)
+        .expect("every flag the table names has a row")
 }
 
-fn path_arg(
-    it: &mut std::iter::Peekable<std::slice::Iter<'_, String>>,
-    flag: &str,
-) -> Result<String, CcError> {
-    Ok(it
-        .next()
-        .ok_or_else(|| CcError::cli(format!("{flag} needs a path")))?
-        .clone())
+/// The invocations in `scope`, the five study commands as one group.
+fn describe(scope: Scope) -> String {
+    let mut names = Vec::new();
+    let mut rest = scope;
+    if scope & STUDY == STUDY {
+        let study: Vec<_> = INVOCATIONS[..5].iter().map(|i| i.0).collect();
+        names.push(format!("the study commands ({})", study.join(", ")));
+        rest &= !STUDY;
+    }
+    names.extend(
+        INVOCATIONS
+            .iter()
+            .enumerate()
+            .filter(|&(bit, _)| rest >> bit & 1 == 1)
+            .map(|(_, i)| i.0.to_string()),
+    );
+    names.join(", ")
+}
+
+/// Parse argv (without the program name).
+pub fn parse(args: &[String]) -> Result<Cli, CcError> {
+    let mut cli = Cli::default();
+    // Unless told otherwise, the CLI crawls the calibrated 2,000-site world.
+    cli.study.web.n_sites = 2_000;
+    cli.study.web.n_seeders = 1_000;
+    let (mut word, mut role) = (None, None);
+    let mut given: Vec<(usize, &Flag, &str)> = Vec::new();
+    let mut args = args.iter().map(String::as_str);
+    while let Some(arg) = args.next() {
+        if let Some((i, f)) = flags().enumerate().find(|(_, f)| f.name == arg) {
+            // Every flag sets exactly one thing; a repeated flag is always
+            // a mistake (usually an edited command line), so reject it by
+            // name instead of silently letting one occurrence win.
+            if given.iter().any(|&(j, _, _)| j == i) {
+                return Err(CcError::cli(format!(
+                    "duplicate flag {arg}: each flag may be given at most once"
+                )));
+            }
+            let value = match f.value {
+                "" => "",
+                _ => args
+                    .next()
+                    .ok_or_else(|| CcError::cli(format!("{arg} needs {}", f.value)))?,
+            };
+            given.push((i, f, value));
+        } else if INVOCATIONS
+            .iter()
+            .any(|i| i.0.split(' ').next() == Some(arg))
+        {
+            if word.replace(arg).is_some() {
+                return Err(CcError::cli(format!("unexpected second command {arg:?}")));
+            }
+        } else if arg == "manager" || arg == "worker" {
+            if role.replace(arg).is_some() {
+                return Err(CcError::cli(format!(
+                    "unexpected second gaggle role {arg:?}"
+                )));
+            }
+        } else {
+            return Err(CcError::cli(format!("unknown argument {arg:?}")));
+        }
+    }
+    let word = word.ok_or_else(|| CcError::cli("no command given"))?;
+    let name = role.map_or(word.to_string(), |role| format!("{word} {role}"));
+    // A bare `gaggle`, or a role after another command, names no invocation.
+    let bit = INVOCATIONS
+        .iter()
+        .position(|i| i.0 == name)
+        .ok_or_else(|| {
+            CcError::cli(format!(
+                "no command {name:?}: gaggle takes a role ('gaggle manager [opts]' or \
+                 'gaggle worker {CONNECT} A') and no other command does"
+            ))
+        })?;
+    (_, cli.command, cli.gaggle_role, _) = INVOCATIONS[bit];
+    let here: Scope = 1 << bit;
+
+    let has = |name: &str| given.iter().any(|(_, f, _)| f.name == name);
+    for (_, f, _) in &given {
+        if f.scope & here == 0 {
+            return Err(CcError::cli(format!(
+                "{} applies to {}, not {}",
+                f.name,
+                describe(f.scope),
+                describe(here)
+            )));
+        }
+        if let Some(needed) = f.needs.map(row) {
+            if needed.scope & here != 0 && !has(needed.name) {
+                return Err(CcError::cli(format!(
+                    "{} requires {} {}",
+                    f.name, needed.name, needed.value
+                )));
+            }
+        }
+    }
+    if let Some(f) = flags().find(|f| f.required_by & here != 0 && !has(f.name)) {
+        return Err(CcError::cli(format!(
+            "{} requires {} {}",
+            describe(here),
+            f.name,
+            f.value
+        )));
+    }
+    for (a, b, why) in EXCLUSIVE {
+        if has(a) && has(b) {
+            return Err(CcError::cli(format!(
+                "{a} and {b} are mutually exclusive: {why}"
+            )));
+        }
+    }
+
+    given.sort_by_key(|&(i, _, _)| i);
+    for (_, f, value) in given {
+        (f.set)(&mut cli, value).map_err(|e| CcError::cli(format!("{}: {e}", f.name)))?;
+    }
+    cli.study.validate()?;
+    Ok(cli)
+}
+
+/// The help text: the commands, then every option section rendered from
+/// the flag table.
+pub fn usage() -> String {
+    let mut out = String::from(
+        "crumbcruncher — reproduce 'Measuring UID Smuggling in the Wild' (IMC 2022)\n\n\
+         USAGE:\n  crumbcruncher <COMMAND> [OPTIONS]    options in any order, each at most once\n\n\
+         COMMANDS:\n",
+    );
+    for (name, _, _, help) in INVOCATIONS {
+        entry(&mut out, name, help, 16);
+    }
+    for (title, rows) in SECTIONS {
+        out.push_str(&format!("\n{title}:\n"));
+        for f in *rows {
+            let mut help = f.help.to_string();
+            if let Some(needed) = f.needs.map(row) {
+                let scope = needed.scope & f.scope;
+                let when = (scope != f.scope).then(|| format!("{}: ", describe(scope)));
+                let when = when.unwrap_or_default();
+                help += &format!(" ({when}needs {} {})", needed.name, needed.value);
+            }
+            if f.required_by != 0 {
+                help += &format!(" (required by {})", describe(f.required_by));
+            }
+            entry(
+                &mut out,
+                format!("{} {}", f.name, f.value).trim_end(),
+                &help,
+                24,
+            );
+        }
+    }
+    out
+}
+
+/// Append one help entry: `head` in a `width`-column gutter, then `help`
+/// word-wrapped to 80 columns.
+fn entry(out: &mut String, head: &str, help: &str, width: usize) {
+    let mut line = format!("  {head:<w$}", w = width - 1);
+    for word in help.split_whitespace() {
+        let len = line.chars().count();
+        if len > width + 1 && len + 1 + word.chars().count() > 80 {
+            out.push_str(&line);
+            out.push('\n');
+            line = " ".repeat(width + 1);
+        }
+        line.push(' ');
+        line.push_str(word);
+    }
+    out.push_str(&line);
+    out.push('\n');
+}
+
+/// What a study's producer hands its command.
+enum Produced {
+    /// A study whose pipeline ran, for the commands that read it.
+    Study(Box<crate::Study>),
+    /// An in-process crawl's dataset: all `crawl` writes.
+    Crawl(CrawlDataset),
+    /// A gaggle manager's assembly.
+    Gaggle(cc_gaggle::ManagerOutcome),
 }
 
 /// Execute a parsed invocation; returns the text to print.
+///
+/// Every study (the study commands and the gaggle manager) runs through
+/// one driver: it owns the telemetry session, the artifact preflight and
+/// the observability plane, and only the dataset producer differs.
 pub fn run(cli: &Cli) -> Result<String, CcError> {
-    use crate::Study;
-
-    if cli.command == Command::Help {
-        return Ok(USAGE.to_string());
-    }
     // Serving and load generation manage their own lifecycles (a server
-    // blocks until shutdown; loadgen talks to a remote process), so they
-    // bypass the study-then-report flow below.
-    if cli.command == Command::Serve {
-        return run_serve(cli);
-    }
-    if cli.command == Command::Loadgen {
-        return run_loadgen(cli);
-    }
-    // A gaggle run (distributed manager/worker) replaces the in-process
-    // executor below with cc-gaggle's lease loop; `crawl --gaggle N` is
-    // the single-machine convenience spelling of the same thing.
-    if cli.command == Command::Gaggle || cli.gaggle.is_some() {
-        return run_gaggle(cli);
+    // blocks until shutdown; loadgen talks to a remote process), and a
+    // gaggle worker crawls for a remote manager: none of them is a study.
+    match (cli.command, cli.gaggle_role) {
+        (Command::Help, _) => return Ok(usage()),
+        (Command::Serve, _) => return run_serve(cli),
+        (Command::Loadgen, _) => return run_loadgen(cli),
+        (Command::Gaggle, Some(GaggleRole::Worker)) => {
+            // A worker is deliberately bare: no telemetry session and no
+            // study flags — it dials, crawls what it is leased, ships shards
+            // back, and hands its counters to the manager over the wire.
+            let connect = cli.connect.clone().expect("required by parse");
+            let label = format!("pid-{}", std::process::id());
+            let s = cc_gaggle::run_worker(&cc_gaggle::WorkerConfig { connect, label })?;
+            let (id, walks, leases) = (s.worker_id, s.walks, s.leases);
+            return Ok(format!(
+                "worker {id} crawled {walks} walks across {leases} leases\n"
+            ));
+        }
+        _ => {}
     }
 
     // Telemetry is opt-in: a session only exists when a telemetry or
@@ -769,12 +679,16 @@ pub fn run(cli: &Cli) -> Result<String, CcError> {
     } else {
         None
     };
+    // The set-up gets its own span, recorded before the observer can
+    // answer, so a scrape never finds an empty session.
+    let setup = cc_telemetry::span("study.setup");
     // Fail fast on unwritable artifact paths — before the crawl, not
     // after an hour of it.
     for (flag, path) in [
-        ("--metrics-out", cli.metrics_out.as_deref()),
-        ("--trace-out", cli.trace_out.as_deref()),
-        ("--dashboard-out", cli.dashboard_out.as_deref()),
+        (OUT, cli.out.as_deref()),
+        (METRICS_OUT, cli.metrics_out.as_deref()),
+        (TRACE_OUT, cli.trace_out.as_deref()),
+        (DASHBOARD_OUT, cli.dashboard_out.as_deref()),
     ] {
         if let Some(path) = path {
             std::fs::OpenOptions::new()
@@ -784,30 +698,43 @@ pub fn run(cli: &Cli) -> Result<String, CcError> {
                 .map_err(|e| CcError::cli(format!("{flag} {path}: not writable: {e}")))?;
         }
     }
+    let resume = match cli.resume.as_deref() {
+        Some(path) => Some(CrawlCheckpoint::load(path)?),
+        None => None,
+    };
 
-    let resume = cli.resume.as_deref().map(CrawlCheckpoint::load).transpose()?;
+    // A gaggle (`gaggle manager`, or the single-machine spelling that
+    // spawns N local workers) replaces the in-process executor with
+    // cc-gaggle's lease loop. It is parallel by construction, so its run
+    // report always carries the per-(remote-)worker section.
+    let gaggle = (cli.command == Command::Gaggle || cli.gaggle.is_some()).then(|| {
+        let defaults = cc_gaggle::GaggleConfig::default();
+        cc_gaggle::GaggleConfig {
+            bind: cli.bind.clone().unwrap_or(defaults.bind),
+            workers_expected: cli.workers_expected.or(cli.gaggle).unwrap_or(1),
+            lease_walks: cli.lease_walks.unwrap_or(defaults.lease_walks),
+            lease_timeout_ms: cli.lease_timeout_ms.unwrap_or(defaults.lease_timeout_ms),
+        }
+    });
+    let per_worker_report = gaggle.is_some() || cli.workers.is_some();
 
-    // Live serving (`crawl --serve-addr`): start the server on a warming
-    // epoch-0 index *before* the crawl, wire an in-process publisher into
-    // the executor, and keep serving the final epoch after the crawl
-    // completes until POST /shutdown.
+    // Live serving (in-process crawls only): start the server on a
+    // warming epoch-0 index *before* the crawl, wire an in-process
+    // publisher into the executor, and keep serving the final epoch after
+    // the crawl completes until POST /shutdown.
     let live = match cli.serve_addr.as_deref() {
         Some(addr) => {
             let builder = cc_serve::IncrementalIndexBuilder::new(&cli.study);
             let index_handle = cc_serve::IndexHandle::new(builder.warming()?);
-            let publisher = std::sync::Arc::new(cc_serve::IndexPublisher::start(
+            let publisher = Arc::new(cc_serve::IndexPublisher::start(
                 builder,
                 index_handle.clone(),
             ));
-            let policy = &cli.study.serve;
             let server = cc_serve::Server::start(
                 index_handle.clone(),
                 cc_serve::ServeConfig {
                     addr: addr.to_string(),
-                    workers: policy.workers,
-                    max_inflight: policy.max_inflight,
-                    keep_alive_ms: policy.keep_alive_ms,
-                    debug_delay_ms: 0,
+                    ..(&cli.study.serve).into()
                 },
             )?;
             if let Some(path) = cli.serve_addr_file.as_deref() {
@@ -823,21 +750,27 @@ pub fn run(cli: &Cli) -> Result<String, CcError> {
         }
         None => None,
     };
+    drop(setup);
 
     // The observability plane: caller-owned progress counters shared with
-    // the crawl, a bounded snapshot ring, a periodic sampler, and the
-    // HTTP observer thread. All strictly observation-only — the crawl
-    // result is byte-identical with every piece on or off.
-    let progress = std::sync::Arc::new(cc_util::ProgressCounters::new(cli.study.workers));
-    let ring = std::sync::Arc::new(cc_telemetry::SnapshotRing::new(2_400));
+    // the crawl (one slot per executor thread, or per remote gaggle worker
+    // modulo the expected count), a bounded snapshot ring, a periodic
+    // sampler, and the HTTP observer thread. All strictly
+    // observation-only — the crawl result is byte-identical with every
+    // piece on or off.
+    let slots = gaggle
+        .as_ref()
+        .map_or(cli.study.workers, |g| g.workers_expected.max(1));
+    let progress = Arc::new(ProgressCounters::new(slots));
+    let ring = Arc::new(cc_telemetry::SnapshotRing::new(2_400));
     let collector = session.as_ref().map(|s| s.shared_collector());
     let obs_started = std::time::Instant::now();
     let observer = match cli.obs_addr.as_deref() {
         Some(addr) => {
             let sources = cc_obs::ObsSources {
                 collector: collector.clone(),
-                progress: Some(std::sync::Arc::clone(&progress)),
-                ring: Some(std::sync::Arc::clone(&ring)),
+                progress: Some(Arc::clone(&progress)),
+                ring: Some(Arc::clone(&ring)),
                 epoch: live.as_ref().map(|(_, _, handle)| handle.epoch_cell()),
             };
             let handle = cc_obs::Observer::start(addr, sources)?;
@@ -852,29 +785,41 @@ pub fn run(cli: &Cli) -> Result<String, CcError> {
     let sampler = if observer.is_some() || cli.dashboard_out.is_some() {
         Some(cc_obs::Sampler::start(
             cc_obs::SamplerConfig::default(),
-            std::sync::Arc::clone(&ring),
+            Arc::clone(&ring),
             collector.clone(),
-            Some(std::sync::Arc::clone(&progress)),
+            Some(Arc::clone(&progress)),
         ))
     } else {
         None
     };
 
-    let mut study_builder = Study::builder(&cli.study).progress(&progress);
-    if let Some(ck) = resume {
-        study_builder = study_builder.resume(ck);
-    }
-    if let Some(n) = cli.kill_after {
-        study_builder = study_builder.stop_after(n);
-    }
-    if let Some((_, publisher, _)) = &live {
-        study_builder = study_builder.index_publisher(
-            cli.publish_every.unwrap_or(25),
-            std::sync::Arc::clone(publisher) as std::sync::Arc<dyn cc_crawler::SnapshotSink>,
-        );
-    }
-    let study = match study_builder.run() {
-        Ok(study) => study,
+    // The dataset producer. The pipeline runs only for the commands that
+    // read its output.
+    let produced = match gaggle {
+        Some(cfg) => manage(cli, cfg, resume, Arc::clone(&progress)).map(Produced::Gaggle),
+        None => {
+            let mut study_builder = crate::Study::builder(&cli.study).progress(&progress);
+            if let Some(ck) = resume {
+                study_builder = study_builder.resume(ck);
+            }
+            if let Some(n) = cli.kill_after {
+                study_builder = study_builder.stop_after(n);
+            }
+            if let Some((_, publisher, _)) = &live {
+                study_builder = study_builder.index_publisher(
+                    cli.publish_every.unwrap_or(25),
+                    Arc::clone(publisher) as Arc<dyn cc_crawler::SnapshotSink>,
+                );
+            }
+            if cli.command == Command::Crawl {
+                study_builder.crawl().map(|c| Produced::Crawl(c.dataset))
+            } else {
+                study_builder.run().map(|s| Produced::Study(Box::new(s)))
+            }
+        }
+    };
+    let produced = match produced {
+        Ok(produced) => produced,
         Err(e) => {
             // A failed crawl must not leave a half-warm server running.
             if let Some((server, publisher, _)) = live {
@@ -884,6 +829,7 @@ pub fn run(cli: &Cli) -> Result<String, CcError> {
             return Err(e);
         }
     };
+    let crawled = progress.snapshot();
     // Crawl complete: close the publishing queue so the indexer folds the
     // executor's final (complete) snapshot into the last epoch. The
     // server keeps answering on it until POST /shutdown, below.
@@ -896,7 +842,7 @@ pub fn run(cli: &Cli) -> Result<String, CcError> {
         );
     }
 
-    let result = execute(cli, &study);
+    let mut result = execute(cli, produced);
 
     // Wind the plane down: one final sample so the dashboard's last point
     // reflects the finished run, then stop the sampler and observer.
@@ -921,7 +867,6 @@ pub fn run(cli: &Cli) -> Result<String, CcError> {
 
     // Reporting happens after the command executed, so command-phase spans
     // (the analysis report sections, dataset serialization) are captured.
-    let mut result = result;
     if let Some(session) = &session {
         if cli.trace {
             eprint!("{}", session.render_trace());
@@ -933,10 +878,10 @@ pub fn run(cli: &Cli) -> Result<String, CcError> {
             // Per-worker progress is reported only when parallelism was
             // asked for — a plain serial run keeps its historical report
             // shape.
-            let report = match &study.progress {
-                Some(snapshot) if cli.workers.is_some() => session
-                    .report_with_workers(cc_telemetry::WorkerSection::from_progress(snapshot)),
-                _ => session.report(),
+            let report = if per_worker_report {
+                session.report_with_workers(cc_telemetry::WorkerSection::from_progress(&crawled))
+            } else {
+                session.report()
             };
             if let Some(path) = cli.metrics_out.as_deref() {
                 let json = report
@@ -945,8 +890,8 @@ pub fn run(cli: &Cli) -> Result<String, CcError> {
                 std::fs::write(path, &json).map_err(|e| CcError::io(path, e))?;
             }
             if cli.prom && result.is_ok() {
-                // `report --prom`: the scrape-able exposition *is* the
-                // command output, so nothing else pollutes stdout.
+                // The scrape-able exposition *is* the command output, so
+                // nothing else pollutes stdout.
                 result = Ok(cc_telemetry::render_prometheus(&report));
             }
         }
@@ -965,219 +910,46 @@ pub fn run(cli: &Cli) -> Result<String, CcError> {
     result
 }
 
-/// Run the `gaggle` subcommand — and `crawl --gaggle N`, which is the
-/// same manager plus N spawned local worker processes.
-///
-/// The worker role is deliberately bare: no telemetry session, no study
-/// flags — it dials, crawls what it is leased, ships shards back, and
-/// hands its counters to the manager over the wire. The manager side
-/// owns the study and the whole observability surface: `--obs-addr`'s
-/// `/progress` shows per-worker walk counts, and `--metrics-out` folds
-/// the `gaggle.*` counters plus every worker's shipped telemetry into
-/// one run report.
-fn run_gaggle(cli: &Cli) -> Result<String, CcError> {
-    if cli.gaggle_role == Some(GaggleRole::Worker) {
-        let cfg = cc_gaggle::WorkerConfig {
-            connect: cli.connect.clone().expect("validated in parse"),
-            label: format!("pid-{}", std::process::id()),
-        };
-        let summary = cc_gaggle::run_worker(&cfg)?;
-        return Ok(format!(
-            "worker {} crawled {} walks across {} leases\n",
-            summary.worker_id, summary.walks, summary.leases
-        ));
-    }
-
-    // Manager (or `crawl --gaggle N`): the same opt-in telemetry session
-    // and fail-fast writability checks as an in-process study run.
-    let wants_session = cli.metrics_out.is_some()
-        || cli.trace
-        || cli.trace_out.is_some()
-        || cli.prom
-        || cli.obs_addr.is_some()
-        || cli.dashboard_out.is_some();
-    let session = if cli.trace_out.is_some() {
-        Some(cc_telemetry::Session::start_with_trace())
-    } else if wants_session {
-        Some(cc_telemetry::Session::start())
-    } else {
-        None
-    };
-    for (flag, path) in [
-        ("--metrics-out", cli.metrics_out.as_deref()),
-        ("--trace-out", cli.trace_out.as_deref()),
-        ("--dashboard-out", cli.dashboard_out.as_deref()),
-        ("--out", cli.out.as_deref()),
-    ] {
-        if let Some(path) = path {
-            std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .map_err(|e| CcError::cli(format!("{flag} {path}: not writable: {e}")))?;
-        }
-    }
-
-    let spawn_workers = cli.gaggle.unwrap_or(0);
-    let cfg = cc_gaggle::GaggleConfig {
-        bind: cli.bind.clone().unwrap_or_else(|| "127.0.0.1:0".into()),
-        workers_expected: cli.workers_expected.unwrap_or_else(|| spawn_workers.max(1)),
-        lease_walks: cli.lease_walks.unwrap_or(25),
-        lease_timeout_ms: cli.lease_timeout_ms.unwrap_or(3_000),
-    };
-
-    // The observability plane, aimed at the gaggle: progress slots are
-    // per remote worker (modulo workers_expected), not per thread.
-    let progress =
-        std::sync::Arc::new(cc_util::ProgressCounters::new(cfg.workers_expected.max(1)));
-    let ring = std::sync::Arc::new(cc_telemetry::SnapshotRing::new(2_400));
-    let collector = session.as_ref().map(|s| s.shared_collector());
-    let obs_started = std::time::Instant::now();
-    let observer = match cli.obs_addr.as_deref() {
-        Some(addr) => {
-            let sources = cc_obs::ObsSources {
-                collector: collector.clone(),
-                progress: Some(std::sync::Arc::clone(&progress)),
-                ring: Some(std::sync::Arc::clone(&ring)),
-                epoch: None,
-            };
-            let handle = cc_obs::Observer::start(addr, sources)?;
-            if let Some(path) = cli.obs_addr_file.as_deref() {
-                std::fs::write(path, handle.addr().to_string())
-                    .map_err(|e| CcError::io(path, e))?;
-            }
-            Some(handle)
-        }
-        None => None,
-    };
-    let sampler = if observer.is_some() || cli.dashboard_out.is_some() {
-        Some(cc_obs::Sampler::start(
-            cc_obs::SamplerConfig::default(),
-            std::sync::Arc::clone(&ring),
-            collector.clone(),
-            Some(std::sync::Arc::clone(&progress)),
-        ))
-    } else {
-        None
-    };
-
-    let mut opts = cc_gaggle::ManagerOptions {
-        resume: None,
-        progress: Some(std::sync::Arc::clone(&progress)),
-    };
-    if let Some(path) = cli.resume.as_deref() {
-        opts.resume = Some(CrawlCheckpoint::load(path)?);
-    }
+/// The gaggle producer: a manager leases the study's walk ids to workers
+/// and assembles their shards. The single-machine spelling spawns its
+/// workers as child processes of this very binary, so it exercises
+/// exactly the code path a multi-machine gaggle does.
+fn manage(
+    cli: &Cli,
+    cfg: cc_gaggle::GaggleConfig,
+    resume: Option<CrawlCheckpoint>,
+    progress: Arc<ProgressCounters>,
+) -> Result<cc_gaggle::ManagerOutcome, CcError> {
+    let progress = Some(progress);
+    let opts = cc_gaggle::ManagerOptions { resume, progress };
     let manager = cc_gaggle::Manager::start(&cli.study, cfg, opts)?;
-    let addr = manager.addr();
+    let addr = manager.addr().to_string();
     if let Some(path) = cli.addr_file.as_deref() {
-        std::fs::write(path, addr.to_string()).map_err(|e| CcError::io(path, e))?;
+        std::fs::write(path, &addr).map_err(|e| CcError::io(path, e))?;
     }
     eprintln!(
         "cc-gaggle manager listening on {addr} — workers join with: \
-         crumbcruncher gaggle worker --connect {addr}"
+         crumbcruncher gaggle worker {CONNECT} {addr}"
     );
-
-    // `crawl --gaggle N`: the workers are child processes of this very
-    // binary, so the single-machine spelling exercises exactly the code
-    // path a multi-machine gaggle does.
     let mut children = Vec::new();
-    if spawn_workers > 0 {
+    if let Some(n) = cli.gaggle {
         let exe = std::env::current_exe().map_err(|e| CcError::io("current_exe", e))?;
-        for _ in 0..spawn_workers {
+        for _ in 0..n {
             let child = std::process::Command::new(&exe)
-                .args(["gaggle", "worker", "--connect", &addr.to_string()])
+                .args(["gaggle", "worker", CONNECT, &addr])
                 .stdout(std::process::Stdio::null())
                 .spawn()
                 .map_err(|e| CcError::io("spawn gaggle worker", e))?;
             children.push(child);
         }
     }
-
     let outcome = manager.join();
     // Workers exit on their own once the manager is gone (clean Goodbye,
     // or a Closed read if the manager errored out) — reap, don't kill.
     for mut child in children {
         let _ = child.wait();
     }
-    let outcome = outcome?;
-
-    let mut artifact_note = String::new();
-    if let Some(path) = cli.out.as_deref() {
-        let json = outcome
-            .dataset
-            .to_json()
-            .map_err(|e| CcError::Serde(format!("serialize dataset: {e}")))?;
-        std::fs::write(path, &json).map_err(|e| CcError::io(path, e))?;
-        artifact_note = format!(" — wrote {} bytes to {path}", json.len());
-    }
-
-    // Wind the plane down: one final sample, then the dashboard.
-    if sampler.is_some() {
-        ring.push(cc_obs::take_sample(
-            obs_started.elapsed().as_secs_f64(),
-            collector.as_deref(),
-            Some(&progress),
-        ));
-    }
-    if let Some(s) = sampler {
-        s.shutdown();
-    }
-    if let Some(o) = observer {
-        o.shutdown();
-    }
-    if let Some(path) = cli.dashboard_out.as_deref() {
-        let title = format!("crumbcruncher gaggle — seed {:#x}", cli.study.seed);
-        let html = cc_obs::render_dashboard(&title, &ring.snapshot());
-        std::fs::write(path, &html).map_err(|e| CcError::io(path, e))?;
-    }
-
-    let mut prom_out = None;
-    if let Some(session) = &session {
-        if cli.trace {
-            eprint!("{}", session.render_trace());
-        }
-        if let Some(path) = cli.trace_out.as_deref() {
-            std::fs::write(path, session.chrome_trace()).map_err(|e| CcError::io(path, e))?;
-        }
-        if cli.metrics_out.is_some() || cli.prom {
-            // A gaggle is parallel by construction: the report always
-            // carries the per-(remote-)worker progress section.
-            let report = session.report_with_workers(
-                cc_telemetry::WorkerSection::from_progress(&progress.snapshot()),
-            );
-            if let Some(path) = cli.metrics_out.as_deref() {
-                let json = report
-                    .to_json()
-                    .map_err(|e| CcError::Serde(format!("serialize run report: {e}")))?;
-                std::fs::write(path, &json).map_err(|e| CcError::io(path, e))?;
-            }
-            if cli.prom {
-                prom_out = Some(cc_telemetry::render_prometheus(&report));
-            }
-        }
-    }
-    if let Some(p) = prom_out {
-        return Ok(p);
-    }
-
-    let s = &outcome.stats;
-    Ok(format!(
-        "assembled {} walks from {} workers{artifact_note}\n\
-         leases: {} issued, {} completed, {} expired, {} reissued, {} stale results dropped\n\
-         frames: {} sent / {} received ({} / {} bytes)\n",
-        outcome.dataset.walks.len(),
-        s.workers_connected,
-        s.leases_issued,
-        s.leases_completed,
-        s.leases_expired,
-        s.leases_reissued,
-        s.results_dropped_stale,
-        s.frames_sent,
-        s.frames_received,
-        s.bytes_sent,
-        s.bytes_received,
-    ))
+    outcome
 }
 
 /// Run the `serve` subcommand: resolve the [`cc_serve::IndexSource`]
@@ -1192,20 +964,10 @@ fn run_serve(cli: &Cli) -> Result<String, CcError> {
             let study = crate::Study::from_config(&cli.study)?;
             cc_serve::ServingIndex::build(&study.web, &study.dataset, &study.output)?.into()
         }
-        (Some(_), Some(_)) => unreachable!("--load/--follow exclusivity validated in parse"),
+        (Some(_), Some(_)) => unreachable!("exclusivity is checked by parse"),
     };
     let following = matches!(source, cc_serve::IndexSource::Follow(_));
-    let policy = &cli.study.serve;
-    let handle = cc_serve::Server::start(
-        source,
-        cc_serve::ServeConfig {
-            addr: policy.addr.clone(),
-            workers: policy.workers,
-            max_inflight: policy.max_inflight,
-            keep_alive_ms: policy.keep_alive_ms,
-            debug_delay_ms: 0,
-        },
-    )?;
+    let handle = cc_serve::Server::start(source, cc_serve::ServeConfig::from(&cli.study.serve))?;
     let addr = handle.addr();
     if let Some(path) = cli.addr_file.as_deref() {
         std::fs::write(path, addr.to_string()).map_err(|e| CcError::io(path, e))?;
@@ -1292,34 +1054,52 @@ fn run_loadgen(cli: &Cli) -> Result<String, CcError> {
     ))
 }
 
-/// Run the subcommand against a finished study; returns the text to print.
-fn execute(cli: &Cli, study: &crate::Study) -> Result<String, CcError> {
-    match cli.command {
-        Command::Help | Command::Serve | Command::Loadgen | Command::Gaggle => {
-            unreachable!("handled above")
+/// Run the command on what the study's producer made; returns the text
+/// to print.
+fn execute(cli: &Cli, produced: Produced) -> Result<String, CcError> {
+    let study = match produced {
+        Produced::Study(study) => study,
+        Produced::Crawl(dataset) => {
+            let path = cli.out.as_deref().expect("required by parse");
+            let (walks, bytes) = (dataset.walks.len(), write_dataset(path, &dataset)?);
+            return Ok(format!("wrote {walks} walks ({bytes} bytes) to {path}\n"));
         }
+        Produced::Gaggle(outcome) => {
+            let mut artifact_note = String::new();
+            if let Some(path) = cli.out.as_deref() {
+                let bytes = write_dataset(path, &outcome.dataset)?;
+                artifact_note = format!(" — wrote {bytes} bytes to {path}");
+            }
+            let s = &outcome.stats;
+            return Ok(format!(
+                "assembled {} walks from {} workers{artifact_note}\n\
+                 leases: {} issued, {} completed, {} expired, {} reissued, \
+                 {} stale results dropped\n\
+                 frames: {} sent / {} received ({} / {} bytes)\n",
+                outcome.dataset.walks.len(),
+                s.workers_connected,
+                s.leases_issued,
+                s.leases_completed,
+                s.leases_expired,
+                s.leases_reissued,
+                s.results_dropped_stale,
+                s.frames_sent,
+                s.frames_received,
+                s.bytes_sent,
+                s.bytes_received,
+            ));
+        }
+    };
+    match cli.command {
         Command::Report if cli.json => serde_json::to_string(&study.report())
             .map_err(|e| CcError::Serde(format!("serialize report: {e}"))),
         Command::Report => Ok(study.report().render()),
-        Command::Crawl => {
-            let json = study
-                .dataset
-                .to_json()
-                .map_err(|e| CcError::Serde(format!("serialize dataset: {e}")))?;
-            let path = cli.out.as_deref().expect("validated in parse");
-            std::fs::write(path, &json).map_err(|e| CcError::io(path, e))?;
-            Ok(format!(
-                "wrote {} walks ({} bytes) to {path}\n",
-                study.dataset.walks.len(),
-                json.len()
-            ))
-        }
         Command::Blocklist => {
             let artifacts = cc_defense::artifacts::BlocklistArtifacts::from_output(&study.output);
             let json = artifacts
                 .to_json()
                 .map_err(|e| CcError::Serde(format!("serialize blocklist: {e}")))?;
-            let path = cli.out.as_deref().expect("validated in parse");
+            let path = cli.out.as_deref().expect("required by parse");
             std::fs::write(path, &json).map_err(|e| CcError::io(path, e))?;
             Ok(format!(
                 "released {} token names and {} tracker domains to {path}\n",
@@ -1356,9 +1136,18 @@ fn execute(cli: &Cli, study: &crate::Study) -> Result<String, CcError> {
                 score.recall()
             ))
         }
+        _ => unreachable!("only the pipeline commands produce a study"),
     }
 }
 
+/// Write a dataset's JSON to `path`; returns its length in bytes.
+fn write_dataset(path: &str, dataset: &CrawlDataset) -> Result<usize, CcError> {
+    let json = dataset
+        .to_json()
+        .map_err(|e| CcError::Serde(format!("serialize dataset: {e}")))?;
+    std::fs::write(path, &json).map_err(|e| CcError::io(path, e))?;
+    Ok(json.len())
+}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1990,5 +1779,154 @@ mod tests {
         let resumed_json = std::fs::read_to_string(&resumed_out).unwrap();
         assert_eq!(full_json, resumed_json, "resumed dataset bytes diverged");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unwritable_out_is_rejected_before_the_crawl() {
+        for command in ["crawl", "blocklist"] {
+            // A paper-scale world would take minutes — the unwritable path
+            // must error out long before the crawl would start.
+            let cli = parse(&argv(&format!(
+                "{command} --paper-scale --out /nonexistent-ccrs-dir/out.json"
+            )))
+            .unwrap();
+            let start = std::time::Instant::now();
+            let err = run(&cli).unwrap_err().to_string();
+            assert!(
+                err.contains("--out") && err.contains("not writable"),
+                "{command}: unclear error: {err}"
+            );
+            assert!(
+                start.elapsed() < std::time::Duration::from_secs(5),
+                "{command}: rejection should be fail-fast, took {:?}",
+                start.elapsed()
+            );
+        }
+    }
+
+    /// Valid command lines that set overlapping parts of the study, for the
+    /// flag-order property below.
+    const ORDERED_LINES: [&str; 6] = [
+        "crawl --seed 5 --paper-scale --species remint,spa --sites 300 --seeders 40 --steps 3 \
+         --walks 7 --workers 2 --checkpoint ck.json --checkpoint-every 5 --failure-rate 0.1 \
+         --retries 3 --breaker 2 --out d.json --metrics-out m.json --trace",
+        "report --species all --paper-scale --seed 0x2A --json --kill-after 4 \
+         --resume ck.json --prom --workers 0",
+        "gaggle manager --sites 500 --seeders 9 --paper-scale --seed 3 --lease-walks 4 \
+         --lease-timeout-ms 900 --workers-expected 3 --bind 127.0.0.1:0 --addr-file a.txt \
+         --out d.json --checkpoint ck.json --checkpoint-every 2",
+        "serve --paper-scale --sites 12000 --addr 127.0.0.1:0 --serve-workers 2 --max-inflight 4 \
+         --addr-file a.txt --metrics-out m.json --checkpoint ck.json --checkpoint-every 3",
+        "crawl --out d.json --serve-addr 127.0.0.1:0 --serve-addr-file s.txt \
+         --publish-every 5 --species etag --paper-scale --seeders 20",
+        "loadgen --target 127.0.0.1:9 --users 2 --duration-requests 5 --mix lookups \
+         --bench-out b.json --seed 7",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// The setters run in table order, so no permutation of a valid
+        /// command line's flags changes what it parses to.
+        #[test]
+        fn flag_order_never_changes_the_invocation(
+            line in 0..ORDERED_LINES.len(),
+            keys in proptest::collection::vec(0u64..1_000_000, 32..33),
+        ) {
+            let words = argv(ORDERED_LINES[line]);
+            let first_flag = words.iter().position(|w| w.starts_with("--")).unwrap();
+            let mut groups: Vec<Vec<String>> = Vec::new();
+            for word in &words[first_flag..] {
+                match groups.last_mut() {
+                    Some(group) if !word.starts_with("--") => group.push(word.clone()),
+                    _ => groups.push(vec![word.clone()]),
+                }
+            }
+            let mut order: Vec<usize> = (0..groups.len()).collect();
+            order.sort_by_key(|&i| (keys[i], i));
+            let mut shuffled = words[..first_flag].to_vec();
+            shuffled.extend(order.iter().flat_map(|&i| groups[i].clone()));
+            let expected = format!("{:?}", parse(&words).unwrap());
+            let got = format!("{:?}", parse(&shuffled).unwrap());
+            proptest::prop_assert_eq!(got, expected, "argv {:?}", shuffled);
+        }
+    }
+
+    /// The command line a documentation line runs the binary with, if it
+    /// runs it: env-var prefixes, `&` tails, pipes, redirections and
+    /// comments dropped, and every substitution replaced by an address.
+    fn documented_invocation(line: &str) -> Option<Vec<String>> {
+        let mut line = line.to_string();
+        while let Some(start) = line.find("$(") {
+            let mut depth = 0;
+            let end = line[start..]
+                .char_indices()
+                .find(|&(_, c)| {
+                    depth += (c == '(') as i32 - (c == ')') as i32;
+                    c == ')' && depth == 0
+                })
+                .map(|(i, _)| start + i + 1)?;
+            line.replace_range(start..end, "127.0.0.1:9");
+        }
+        let mut tokens = line
+            .split_whitespace()
+            .map(|t| t.trim_matches(|c| c == '"' || c == '\''))
+            .skip_while(|t| {
+                t.split_once('=').is_some_and(|(k, _)| {
+                    k.chars().all(|c| c.is_ascii_uppercase() || c == '_') && !k.is_empty()
+                })
+            })
+            .take_while(|t| {
+                !["&", "&&", "|", "||", ";"].contains(t)
+                    && !t.starts_with(['>', '<', '#'])
+                    && !t.starts_with("2>")
+            })
+            .map(|t| {
+                if t.contains('$') {
+                    "127.0.0.1:9".to_string()
+                } else {
+                    t.to_string()
+                }
+            });
+        match tokens.next()?.as_str() {
+            "cargo" => {
+                // `cargo run` of this package's binary, named or not.
+                let cargo: Vec<String> = tokens.by_ref().take_while(|t| t != "--").collect();
+                let others = ["--example", "--manifest-path", "-p", "--package"];
+                let runs_it = cargo.first().is_some_and(|t| t == "run")
+                    && !cargo.iter().any(|t| others.contains(&t.as_str()))
+                    && cargo.windows(2).all(|w| w[0] != "--bin" || w[1] == "crumbcruncher");
+                runs_it.then(|| tokens.collect())
+            }
+            word if word.ends_with("crumbcruncher") => Some(tokens.collect()),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn documented_invocations_parse() {
+        let mut checked = 0;
+        for (doc, text) in [
+            ("README.md", include_str!("../README.md")),
+            ("ci.yml", include_str!("../.github/workflows/ci.yml")),
+        ] {
+            let mut joined = String::new();
+            for line in text.lines() {
+                let line = line.trim_end();
+                match line.strip_suffix('\\') {
+                    Some(head) => joined.push_str(head),
+                    None => {
+                        joined.push_str(line);
+                        if let Some(args) = documented_invocation(&std::mem::take(&mut joined)) {
+                            if let Err(e) = parse(&args) {
+                                panic!("{doc}: `{}` does not parse: {e}", args.join(" "));
+                            }
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked >= 40, "found only {checked} documented invocations");
     }
 }

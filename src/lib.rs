@@ -193,9 +193,12 @@ impl Study {
 ///   snapshots every K walks to a [`SnapshotSink`] (cc-serve's
 ///   `IndexPublisher` folds them into live `ServingIndex` epochs);
 /// * the on-disk checkpoint sink is configured in
-///   [`StudyConfig::checkpoint`].
+///   [`StudyConfig::checkpoint`];
+/// * [`StudyBuilder::run`] ends in the analysis pipeline, and
+///   [`StudyBuilder::crawl`] stops at the dataset for callers that read
+///   nothing else.
 #[derive(Debug)]
-#[must_use = "a StudyBuilder does nothing until .run() is called"]
+#[must_use = "a StudyBuilder does nothing until .run() or .crawl() is called"]
 pub struct StudyBuilder<'a> {
     study: &'a StudyConfig,
     resume: Option<CrawlCheckpoint>,
@@ -232,9 +235,10 @@ impl<'a> StudyBuilder<'a> {
         self
     }
 
-    /// Execute: generate the world, run the crawl through the
-    /// work-stealing executor, and run the analysis pipeline.
-    pub fn run(self) -> Result<Study, CcError> {
+    /// Execute without the pipeline: generate the world and run the crawl
+    /// through the work-stealing executor. For callers that read only the
+    /// dataset, such as the CLI's `crawl`.
+    pub fn crawl(self) -> Result<StudyCrawl, CcError> {
         let study = self.study;
         let web = {
             let _span = telemetry::span("study.generate_web");
@@ -262,6 +266,20 @@ impl<'a> StudyBuilder<'a> {
             }
             run.run()?
         };
+        Ok(StudyCrawl {
+            web,
+            dataset,
+            progress: progress.snapshot(),
+        })
+    }
+
+    /// Execute: [`StudyBuilder::crawl`], then the analysis pipeline.
+    pub fn run(self) -> Result<Study, CcError> {
+        let StudyCrawl {
+            web,
+            dataset,
+            progress,
+        } = self.crawl()?;
         let output = {
             let _span = telemetry::span("study.pipeline");
             cc_core::run_pipeline(&dataset)
@@ -270,9 +288,20 @@ impl<'a> StudyBuilder<'a> {
             web,
             dataset,
             output,
-            progress: Some(progress.snapshot()),
+            progress: Some(progress),
         })
     }
+}
+
+/// A study's world and crawl without the pipeline (from
+/// [`StudyBuilder::crawl`]).
+pub struct StudyCrawl {
+    /// The generated world.
+    pub web: SimWeb,
+    /// The crawl dataset (the paper's released artifact).
+    pub dataset: CrawlDataset,
+    /// Final per-worker crawl progress.
+    pub progress: ProgressSnapshot,
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ fn main() {
             }
         },
         Err(e) => {
-            eprintln!("error: {e}\n\n{}", crumbcruncher::cli::USAGE);
+            eprintln!("error: {e}\n\n{}", crumbcruncher::cli::usage());
             std::process::exit(2);
         }
     }

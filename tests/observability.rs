@@ -17,8 +17,9 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use crumbcruncher::cli::{parse, run};
+use crumbcruncher::crawler::CrawlDataset;
 use crumbcruncher::http::{Request, Response};
-use crumbcruncher::telemetry::parse_exposition;
+use crumbcruncher::telemetry::{parse_exposition, RunReport};
 use crumbcruncher::url::Url;
 use crumbcruncher::util::ProgressSnapshot;
 
@@ -218,5 +219,102 @@ fn dashboard_out_works_without_an_observer() {
     // Even a sub-interval run has charts: the final sample is pushed at
     // shutdown, so the ring is never empty.
     assert!(html.contains("<svg"), "no charts in a fast run's dashboard");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `workers.walks` equals the per-worker rows' sum and the dataset's walk
+/// count, and the run never ran the pipeline.
+fn assert_walks_conserved(report_path: &std::path::Path, dataset_path: &std::path::Path) {
+    let report = RunReport::from_json(&std::fs::read_to_string(report_path).unwrap()).unwrap();
+    let dataset = CrawlDataset::from_json(&std::fs::read_to_string(dataset_path).unwrap()).unwrap();
+    let workers = report
+        .workers
+        .as_ref()
+        .expect("a parallel run reports its workers");
+    let rows: u64 = workers.per_worker.iter().map(|w| w.walks).sum();
+    assert_eq!(workers.walks, rows, "worker rows disagree with the total");
+    assert_eq!(
+        workers.walks,
+        dataset.walks.len() as u64,
+        "progress disagrees with the dataset"
+    );
+    assert!(!has_pipeline_span(&report), "the crawl ran the pipeline");
+}
+
+fn has_pipeline_span(report: &RunReport) -> bool {
+    let spans = &report.timing.spans;
+    spans
+        .iter()
+        .any(|s| s.path.split('/').any(|p| p == "study.pipeline"))
+}
+
+#[test]
+fn walk_counts_agree_across_planes_on_both_backends() {
+    let _exclusive = exclusive();
+    let dir = std::env::temp_dir().join("ccrs-obs-conservation-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (crawl_out, crawl_report) = (dir.join("crawl.json"), dir.join("crawl-run.json"));
+    let (gaggle_out, gaggle_report) = (dir.join("gaggle.json"), dir.join("gaggle-run.json"));
+    let truth_report = dir.join("truth-run.json");
+    let addr_file = dir.join("addr.txt");
+    std::fs::remove_file(&addr_file).ok();
+    let study = "--seed 13 --steps 3 --walks 12";
+
+    // In process, two executor threads.
+    let mut crawl = parse(&argv(&format!(
+        "crawl {study} --workers 2 --out {} --metrics-out {}",
+        crawl_out.display(),
+        crawl_report.display()
+    )))
+    .unwrap();
+    crawl.study.web = crumbcruncher::web::WebConfig::small();
+    run(&crawl).unwrap();
+    assert_walks_conserved(&crawl_report, &crawl_out);
+
+    // A gaggle manager with two in-thread workers.
+    let mut manager = parse(&argv(&format!(
+        "gaggle manager {study} --workers-expected 2 --lease-walks 4 --addr-file {} \
+         --out {} --metrics-out {}",
+        addr_file.display(),
+        gaggle_out.display(),
+        gaggle_report.display()
+    )))
+    .unwrap();
+    manager.study.web = crumbcruncher::web::WebConfig::small();
+    let manager = std::thread::spawn(move || run(&manager));
+    let addr = {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        loop {
+            if let Ok(s) = std::fs::read_to_string(&addr_file) {
+                if !s.is_empty() {
+                    break s;
+                }
+            }
+            assert!(Instant::now() < deadline, "manager never bound");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+    let workers: Vec<_> = (0..2)
+        .map(|_| {
+            let worker = parse(&argv(&format!("gaggle worker --connect {addr}"))).unwrap();
+            std::thread::spawn(move || run(&worker))
+        })
+        .collect();
+    manager.join().unwrap().unwrap();
+    for worker in workers {
+        worker.join().unwrap().unwrap();
+    }
+    assert_walks_conserved(&gaggle_report, &gaggle_out);
+
+    // A command that reads the pipeline still runs it.
+    let mut truth = parse(&argv(&format!(
+        "truth {study} --metrics-out {}",
+        truth_report.display()
+    )))
+    .unwrap();
+    truth.study.web = crumbcruncher::web::WebConfig::small();
+    run(&truth).unwrap();
+    let report = RunReport::from_json(&std::fs::read_to_string(&truth_report).unwrap()).unwrap();
+    assert!(has_pipeline_span(&report), "truth ran without the pipeline");
     std::fs::remove_dir_all(&dir).ok();
 }
