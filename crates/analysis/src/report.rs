@@ -286,62 +286,64 @@ pub fn full_report(
     }
 }
 
+/// One section of a report, as `/report/{slug}` serves it.
+struct Section<'a>(&'a AnalysisReport, ReportSection);
+
+impl Serialize for Section<'_> {
+    fn serialize<S: serde::Sink>(&self, sink: &mut S) {
+        /// The two sections that gather report fields under new names.
+        #[derive(Serialize)]
+        struct FaultTolerance<'a> {
+            recovery: &'a RecoveryStats,
+            ledger: &'a FailureLedger,
+        }
+        #[derive(Serialize)]
+        struct Manual {
+            entered: u64,
+            removed: u64,
+        }
+        let r = self.0;
+        match self.1 {
+            ReportSection::Table1 => r.table1.serialize(sink),
+            ReportSection::Summary => r.summary.serialize(sink),
+            ReportSection::Table3 => r.table3.serialize(sink),
+            ReportSection::Orgs => r.orgs.serialize(sink),
+            ReportSection::Categories => r.categories.serialize(sink),
+            ReportSection::ThirdParties => r.third_parties.serialize(sink),
+            ReportSection::Fig7 => r.fig7.serialize(sink),
+            ReportSection::Fig8 => r.fig8.serialize(sink),
+            ReportSection::Bounce => r.bounce.serialize(sink),
+            ReportSection::Fingerprint => r.fingerprint.serialize(sink),
+            ReportSection::Failures => r.failures.serialize(sink),
+            ReportSection::FaultTolerance => FaultTolerance {
+                recovery: &r.recovery,
+                ledger: &r.ledger,
+            }
+            .serialize(sink),
+            ReportSection::Manual => Manual {
+                entered: r.manual_entered,
+                removed: r.manual_removed,
+            }
+            .serialize(sink),
+            ReportSection::CookieSync => r.cookie_sync.serialize(sink),
+            ReportSection::StepFailures => r.step_failures.serialize(sink),
+            ReportSection::Cloaking => r.cloaked.serialize(sink),
+            ReportSection::SpeciesEvasion => r.species.serialize(sink),
+        }
+    }
+}
+
 impl AnalysisReport {
     /// The JSON value of one section — the same bytes `/report/{slug}`
     /// serves.
     pub fn section_value(&self, section: ReportSection) -> Result<serde_json::Value, CcError> {
-        let serde = |e: serde_json::Error| CcError::Serde(e.to_string());
-        Ok(match section {
-            ReportSection::Table1 => serde_json::to_value(&self.table1).map_err(serde)?,
-            ReportSection::Summary => serde_json::to_value(&self.summary).map_err(serde)?,
-            ReportSection::Table3 => serde_json::to_value(&self.table3).map_err(serde)?,
-            ReportSection::Orgs => serde_json::to_value(&self.orgs).map_err(serde)?,
-            ReportSection::Categories => serde_json::to_value(&self.categories).map_err(serde)?,
-            ReportSection::ThirdParties => {
-                serde_json::to_value(&self.third_parties).map_err(serde)?
-            }
-            ReportSection::Fig7 => serde_json::to_value(&self.fig7).map_err(serde)?,
-            ReportSection::Fig8 => serde_json::to_value(&self.fig8).map_err(serde)?,
-            ReportSection::Bounce => serde_json::to_value(&self.bounce).map_err(serde)?,
-            ReportSection::Fingerprint => serde_json::to_value(&self.fingerprint).map_err(serde)?,
-            ReportSection::Failures => serde_json::to_value(&self.failures).map_err(serde)?,
-            ReportSection::FaultTolerance => {
-                let mut m = serde_json::Map::new();
-                m.insert(
-                    "recovery".into(),
-                    serde_json::to_value(&self.recovery).map_err(serde)?,
-                );
-                m.insert(
-                    "ledger".into(),
-                    serde_json::to_value(&self.ledger).map_err(serde)?,
-                );
-                serde_json::Value::Object(m)
-            }
-            ReportSection::Manual => {
-                let mut m = serde_json::Map::new();
-                m.insert(
-                    "entered".into(),
-                    serde_json::to_value(&self.manual_entered).map_err(serde)?,
-                );
-                m.insert(
-                    "removed".into(),
-                    serde_json::to_value(&self.manual_removed).map_err(serde)?,
-                );
-                serde_json::Value::Object(m)
-            }
-            ReportSection::CookieSync => serde_json::to_value(&self.cookie_sync).map_err(serde)?,
-            ReportSection::StepFailures => {
-                serde_json::to_value(&self.step_failures).map_err(serde)?
-            }
-            ReportSection::Cloaking => serde_json::to_value(&self.cloaked).map_err(serde)?,
-            ReportSection::SpeciesEvasion => serde_json::to_value(&self.species).map_err(serde)?,
-        })
+        serde_json::to_value(&Section(self, section)).map_err(|e| CcError::Serde(e.to_string()))
     }
 
-    /// [`Self::section_value`] serialized to a JSON string.
+    /// [`Self::section_value`] serialized to a JSON string, written
+    /// straight from the report.
     pub fn section_json(&self, section: ReportSection) -> Result<String, CcError> {
-        serde_json::to_string(&self.section_value(section)?)
-            .map_err(|e| CcError::Serde(e.to_string()))
+        serde_json::to_string(&Section(self, section)).map_err(|e| CcError::Serde(e.to_string()))
     }
 
     /// Render the report as paper-style text tables.

@@ -41,6 +41,7 @@
 //! canonical form. Nothing is fsynced: appends and rewrites alike reach
 //! the page cache and no further.
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::fs::File;
 use std::io::Write;
@@ -49,7 +50,7 @@ use std::path::{Path, PathBuf};
 
 use cc_util::CcError;
 use cc_web::TruthLog;
-use serde::{Deserialize, Map, Serialize, Value};
+use serde::{Deserialize, Kind, Serialize, Source, Value};
 
 use crate::config::StudyConfig;
 use crate::record::{CrawlDataset, FailureStats, WalkRecord};
@@ -70,18 +71,25 @@ pub struct CrawlCheckpoint {
     pub truth: TruthLog,
 }
 
-/// Line 1 of a checkpoint file.
-#[derive(Deserialize)]
-struct Header {
-    study: StudyConfig,
+/// Line 1 of a checkpoint file. Written from borrows, read owned.
+#[derive(Serialize, Deserialize)]
+struct Header<'a> {
+    schema: Cow<'a, str>,
+    study: Cow<'a, StudyConfig>,
     total_walks: usize,
 }
 
+/// A commit line.
+#[derive(Serialize, Deserialize)]
+struct CommitLine<'a> {
+    commit: Commit<'a>,
+}
+
 /// The body of a commit line.
-#[derive(Deserialize)]
-struct Commit {
+#[derive(Serialize, Deserialize)]
+struct Commit<'a> {
     failures: FailureStats,
-    truth: TruthLog,
+    truth: Cow<'a, TruthLog>,
 }
 
 impl CrawlCheckpoint {
@@ -169,12 +177,15 @@ impl CrawlCheckpoint {
             return Err("empty file: no checkpoint header".into());
         };
         // The header is never appended, only written whole with the first
-        // batch, so it is parsed even without its newline.
-        let header = parse_line(first.strip_suffix(b"\n").unwrap_or(first))
+        // batch, so it is parsed even without its newline. Its schema is
+        // checked before anything else in it is read.
+        let header: Header = std::str::from_utf8(first.strip_suffix(b"\n").unwrap_or(first))
+            .map_err(|e| e.to_string())
+            .and_then(parse_line::<Value>)
             .and_then(|v| {
                 let schema = v.as_object().and_then(|o| o.get("schema"));
                 match schema.and_then(Value::as_str) {
-                    Some(CHECKPOINT_SCHEMA) => Header::from_value(&v).map_err(|e| e.to_string()),
+                    Some(CHECKPOINT_SCHEMA) => serde_json::from_value(v).map_err(|e| e.to_string()),
                     other => Err(format!(
                         "unsupported schema {:?} (expected {CHECKPOINT_SCHEMA:?})",
                         other.unwrap_or("none")
@@ -194,23 +205,20 @@ impl CrawlCheckpoint {
                 break;
             };
             let at = |e: String| format!("line {n}: {e}");
-            let value = parse_line(line).map_err(at)?;
-            match value.as_object().and_then(|o| o.get("commit")) {
-                Some(commit) => {
-                    let commit = Commit::from_value(commit).map_err(|e| at(e.to_string()))?;
-                    partial.walks.append(&mut batch);
-                    partial.failures.absorb(commit.failures);
-                    if truth.is_empty() {
-                        truth = commit.truth;
-                    } else {
-                        truth.merge(&commit.truth);
-                    }
+            let line = std::str::from_utf8(line).map_err(|e| at(e.to_string()))?;
+            if is_commit(line).map_err(at)? {
+                let CommitLine { commit } = parse_line(line).map_err(at)?;
+                partial.walks.append(&mut batch);
+                partial.failures.absorb(commit.failures);
+                if truth.is_empty() {
+                    truth = commit.truth.into_owned();
+                } else {
+                    truth.merge(&commit.truth);
                 }
-                None => {
-                    let walk = WalkRecord::from_value(&value).map_err(|e| at(e.to_string()))?;
-                    ids.admit(walk.walk_id).map_err(at)?;
-                    batch.push(walk);
-                }
+            } else {
+                let walk: WalkRecord = parse_line(line).map_err(at)?;
+                ids.admit(walk.walk_id).map_err(at)?;
+                batch.push(walk);
             }
         }
         // Walk ids are unique, so the unstable sort is deterministic.
@@ -219,7 +227,7 @@ impl CrawlCheckpoint {
             partial.ledger.note(walk);
         }
         Ok(CrawlCheckpoint {
-            study: header.study,
+            study: header.study.into_owned(),
             total_walks: header.total_walks,
             partial,
             truth,
@@ -255,28 +263,56 @@ impl WalkIds {
     }
 }
 
-fn parse_line(line: &[u8]) -> Result<Value, String> {
-    let text = std::str::from_utf8(line).map_err(|e| e.to_string())?;
-    serde_json::from_str(text).map_err(|e| e.to_string())
+fn parse_line<T: Deserialize>(line: &str) -> Result<T, String> {
+    serde_json::from_str(line).map_err(|e| e.to_string())
+}
+
+/// Whether a log line is a commit: an object with a top-level `commit`
+/// key. The writer puts that key first. Any other line that has the word
+/// in it, spelled out or behind a `\u` escape, is scanned for the key.
+fn is_commit(line: &str) -> Result<bool, String> {
+    if line.starts_with("{\"commit\":") {
+        return Ok(true);
+    }
+    if !line.contains("commit") && !line.contains("\\u") {
+        return Ok(false);
+    }
+    has_key(line, "commit").map_err(|e| e.to_string())
+}
+
+/// Whether `line` is an object with the top-level key `key`.
+fn has_key(line: &str, key: &str) -> Result<bool, serde::DeError> {
+    let mut de = serde_json::Deserializer::new(line);
+    if de.peek()? != Kind::Object {
+        return Ok(false);
+    }
+    de.begin_object()?;
+    while let Some(k) = de.next_key()? {
+        if k == key {
+            return Ok(true);
+        }
+        de.skip()?;
+    }
+    Ok(false)
 }
 
 /// The header line.
 fn header_line(study: &StudyConfig, total_walks: usize) -> Result<String, CcError> {
-    let mut header = Map::new();
-    header.insert("schema".into(), Value::String(CHECKPOINT_SCHEMA.into()));
-    header.insert("study".into(), study.to_value());
-    header.insert("total_walks".into(), total_walks.to_value());
-    json_line(&Value::Object(header))
+    json_line(&Header {
+        schema: Cow::Borrowed(CHECKPOINT_SCHEMA),
+        study: Cow::Borrowed(study),
+        total_walks,
+    })
 }
 
 /// A commit line.
 fn commit_line(failures: FailureStats, truth: &TruthLog) -> Result<String, CcError> {
-    let mut body = Map::new();
-    body.insert("failures".into(), failures.to_value());
-    body.insert("truth".into(), truth.to_value());
-    let mut commit = Map::new();
-    commit.insert("commit".into(), Value::Object(body));
-    json_line(&Value::Object(commit))
+    json_line(&CommitLine {
+        commit: Commit {
+            failures,
+            truth: Cow::Borrowed(truth),
+        },
+    })
 }
 
 /// `value` as one line of JSON, newline included.
@@ -363,6 +399,7 @@ impl CheckpointLog {
         if self.failed {
             return Err(self.refused());
         }
+        let _span = cc_telemetry::span("checkpoint.append");
         let (walks, failures) = self.batch(base, walks, failures);
         let mut buf = Vec::new();
         let mut lines = Vec::with_capacity(walks.len());
@@ -414,6 +451,7 @@ impl CheckpointLog {
         if self.failed {
             return Err(self.refused());
         }
+        let _span = cc_telemetry::span("checkpoint.finish");
         let (walks, failures) = self.batch(base, walks, failures);
         let (disk, header_len) = match self.file {
             Some(_) => {
@@ -695,6 +733,78 @@ mod tests {
         let ck = CrawlCheckpoint::load(&path).unwrap();
         assert!(ck.partial.walks.is_empty() && ck.truth.is_empty());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Hostile lines: a real walk line, cut anywhere or with any one byte
+    /// changed, and then committed, loads as an error naming line 2, or as
+    /// the walk its `Value` tree decodes to. Nothing panics. The walk is
+    /// trimmed to its first observation and two beacons, so every cut and
+    /// change can be tried.
+    #[test]
+    fn every_cut_and_byte_change_of_a_walk_line_is_an_error_or_the_tree_s_walk() {
+        use cc_web::{generate, WebConfig};
+
+        let study = StudyConfig::builder()
+            .web(WebConfig::small())
+            .seed(7)
+            .steps(1)
+            .walks(5)
+            .failure_rate(0.0)
+            .build()
+            .unwrap();
+        let web = generate(&study.web);
+        let mut walk = crate::crawl_study(&web, &study)
+            .unwrap()
+            .walks
+            .swap_remove(0);
+        let step = &mut walk.steps[0];
+        step.observations.truncate(1);
+        step.observations[0].beacons.truncate(2);
+        let line = serde_json::to_string(&walk).unwrap();
+        let head = header_line(&study, study.total_walks()).unwrap();
+        let commit = commit_line(FailureStats::default(), &TruthLog::new()).unwrap();
+        let load = |line: &[u8]| {
+            let mut bytes = head.as_bytes().to_vec();
+            bytes.extend_from_slice(line);
+            bytes.push(b'\n');
+            bytes.extend_from_slice(commit.as_bytes());
+            CrawlCheckpoint::parse(&bytes)
+        };
+        let refused = |what: &str, got: Result<CrawlCheckpoint, String>| match got {
+            Err(msg) => assert!(msg.starts_with("line 2: "), "{what}: {msg}"),
+            Ok(_) => panic!("{what} loaded"),
+        };
+        assert_eq!(load(line.as_bytes()).unwrap().partial.walks, [walk]);
+
+        for cut in 0..line.len() {
+            refused(&format!("cut at {cut}"), load(&line.as_bytes()[..cut]));
+        }
+        for at in 0..line.len() {
+            for &b in b"\"\\{}[]:,0a\x00\xff"
+                .iter()
+                .filter(|&&b| b != line.as_bytes()[at])
+            {
+                let mut changed = line.clone().into_bytes();
+                changed[at] = b;
+                let what = format!("byte {at} set to {b:#04x}");
+                match load(&changed) {
+                    Ok(ck) => {
+                        let text = std::str::from_utf8(&changed).unwrap();
+                        let tree: Value = serde_json::from_str(text).unwrap();
+                        let want: WalkRecord = serde_json::from_value(tree).unwrap();
+                        assert_eq!(ck.partial.walks, [want], "{what}");
+                    }
+                    got => refused(&what, got),
+                }
+            }
+        }
+        let deep = format!(
+            "{{\"x\":{}{},{}",
+            "[".repeat(100_000),
+            "]".repeat(100_000),
+            &line[1..]
+        );
+        refused("deep nesting", load(deep.as_bytes()));
     }
 
     /// The crash contract: a log cut anywhere after its header loads as

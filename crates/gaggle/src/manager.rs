@@ -433,6 +433,10 @@ impl Manager {
             .set_nonblocking(true)
             .map_err(|e| CcError::io(&cfg.bind, e))?;
 
+        // The crawl begins once the world is generated and the port bound.
+        if let Some(p) = &opts.progress {
+            p.start_clock();
+        }
         let shared = Arc::new(Shared {
             study: study.clone(),
             web,
@@ -499,6 +503,9 @@ fn run_manager(
     let shards = std::mem::take(&mut st.shards);
     let stats = st.stats.clone();
     drop(st);
+    if let Some(p) = &shared.progress {
+        p.stop_clock();
+    }
 
     let dataset = CrawlDataset::merge(std::iter::once(base).chain(shards));
     Ok(ManagerOutcome {

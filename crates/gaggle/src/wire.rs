@@ -26,6 +26,7 @@
 //! and a socket read deadline surfaces as [`FrameError::TimedOut`] so
 //! callers can poll shutdown flags between reads.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 
@@ -215,26 +216,27 @@ impl Frame {
     }
 }
 
-/// Serde shadow of [`Frame`] carrying only the payload fields — the type
+/// Serde shadows of [`Frame`] carrying only the payload fields — the type
 /// byte on the wire picks the variant, so the JSON is the *content* of
 /// the variant, not an externally-tagged enum (which would spell the type
-/// twice and let the two disagree).
+/// twice and let the two disagree). Each shadow lends the frame's fields
+/// to the encoder and owns them once decoded.
 #[derive(Serialize, Deserialize)]
-struct HelloPayload {
-    protocol: String,
-    label: String,
+struct HelloPayload<'a> {
+    protocol: Cow<'a, str>,
+    label: Cow<'a, str>,
 }
 
 #[derive(Serialize, Deserialize)]
-struct WelcomePayload {
+struct WelcomePayload<'a> {
     worker_id: u32,
-    study: StudyConfig,
+    study: Cow<'a, StudyConfig>,
 }
 
 #[derive(Serialize, Deserialize)]
-struct LeasePayload {
+struct LeasePayload<'a> {
     lease_id: u64,
-    walk_ids: Vec<u32>,
+    walk_ids: Cow<'a, [u32]>,
     deadline_ms: u64,
 }
 
@@ -245,31 +247,32 @@ struct HeartbeatPayload {
 }
 
 #[derive(Serialize, Deserialize)]
-struct ShardResultPayload {
+struct ShardResultPayload<'a> {
     lease_id: u64,
-    shard: CrawlDataset,
-    truth: TruthLog,
+    shard: Cow<'a, CrawlDataset>,
+    truth: Cow<'a, TruthLog>,
 }
 
 #[derive(Serialize, Deserialize)]
-struct TelemetryPayload {
-    counters: BTreeMap<String, u64>,
+struct TelemetryPayload<'a> {
+    counters: Cow<'a, BTreeMap<String, u64>>,
 }
 
 #[derive(Serialize, Deserialize)]
-struct GoodbyePayload {
-    reason: String,
+struct GoodbyePayload<'a> {
+    reason: Cow<'a, str>,
 }
 
 fn encode_payload(frame: &Frame) -> Result<Vec<u8>, FrameError> {
+    let _span = cc_telemetry::span("gaggle.frame.encode");
     let encoded = match frame {
         Frame::Hello { protocol, label } => serde_json::to_string(&HelloPayload {
-            protocol: protocol.clone(),
-            label: label.clone(),
+            protocol: protocol.into(),
+            label: label.into(),
         }),
         Frame::Welcome { worker_id, study } => serde_json::to_string(&WelcomePayload {
             worker_id: *worker_id,
-            study: study.clone(),
+            study: Cow::Borrowed(study),
         }),
         Frame::Lease {
             lease_id,
@@ -277,7 +280,7 @@ fn encode_payload(frame: &Frame) -> Result<Vec<u8>, FrameError> {
             deadline_ms,
         } => serde_json::to_string(&LeasePayload {
             lease_id: *lease_id,
-            walk_ids: walk_ids.clone(),
+            walk_ids: walk_ids.into(),
             deadline_ms: *deadline_ms,
         }),
         Frame::Heartbeat {
@@ -293,14 +296,14 @@ fn encode_payload(frame: &Frame) -> Result<Vec<u8>, FrameError> {
             truth,
         } => serde_json::to_string(&ShardResultPayload {
             lease_id: *lease_id,
-            shard: shard.clone(),
-            truth: truth.clone(),
+            shard: Cow::Borrowed(shard),
+            truth: Cow::Borrowed(truth),
         }),
         Frame::Telemetry { counters } => serde_json::to_string(&TelemetryPayload {
-            counters: counters.clone(),
+            counters: Cow::Borrowed(counters),
         }),
         Frame::Goodbye { reason } => serde_json::to_string(&GoodbyePayload {
-            reason: reason.clone(),
+            reason: reason.into(),
         }),
     };
     encoded.map(String::into_bytes).map_err(|e| FrameError::BadPayload {
@@ -320,26 +323,27 @@ fn decode_payload(type_byte: u8, payload: &[u8]) -> Result<Frame, FrameError> {
             detail: e.to_string(),
         })
     }
+    let _span = cc_telemetry::span("gaggle.frame.decode");
     Ok(match type_byte {
         0x01 => {
             let p: HelloPayload = parse("Hello", payload)?;
             Frame::Hello {
-                protocol: p.protocol,
-                label: p.label,
+                protocol: p.protocol.into_owned(),
+                label: p.label.into_owned(),
             }
         }
         0x02 => {
             let p: WelcomePayload = parse("Welcome", payload)?;
             Frame::Welcome {
                 worker_id: p.worker_id,
-                study: p.study,
+                study: p.study.into_owned(),
             }
         }
         0x03 => {
             let p: LeasePayload = parse("Lease", payload)?;
             Frame::Lease {
                 lease_id: p.lease_id,
-                walk_ids: p.walk_ids,
+                walk_ids: p.walk_ids.into_owned(),
                 deadline_ms: p.deadline_ms,
             }
         }
@@ -354,19 +358,21 @@ fn decode_payload(type_byte: u8, payload: &[u8]) -> Result<Frame, FrameError> {
             let p: ShardResultPayload = parse("ShardResult", payload)?;
             Frame::ShardResult {
                 lease_id: p.lease_id,
-                shard: p.shard,
-                truth: p.truth,
+                shard: p.shard.into_owned(),
+                truth: p.truth.into_owned(),
             }
         }
         0x06 => {
             let p: TelemetryPayload = parse("Telemetry", payload)?;
             Frame::Telemetry {
-                counters: p.counters,
+                counters: p.counters.into_owned(),
             }
         }
         0x07 => {
             let p: GoodbyePayload = parse("Goodbye", payload)?;
-            Frame::Goodbye { reason: p.reason }
+            Frame::Goodbye {
+                reason: p.reason.into_owned(),
+            }
         }
         other => return Err(FrameError::UnknownType(other)),
     })

@@ -275,3 +275,110 @@ fn pipelined_frames_decode_in_sequence() {
     assert_eq!(read_frame(&mut stream).unwrap().0, second);
     assert_eq!(read_frame(&mut stream).unwrap_err(), FrameError::Closed);
 }
+
+/// Bytes put in place of each payload byte: every JSON delimiter, a
+/// digit, a letter, a control character and a byte that is not UTF-8.
+const SUBSTITUTES: &[u8] = b"\"\\{}[]:,0a\x00\xff";
+
+/// A real ShardResult, trimmed so that every cut and every single-byte
+/// change of its payload can be tried: one crawled walk cut to its first
+/// observation and two beacons, and ten entries of the crawl's ledger.
+fn small_real_shard_result() -> Frame {
+    let study = StudyConfig::builder()
+        .web(WebConfig::small())
+        .seed(7)
+        .steps(1)
+        .walks(1)
+        .failure_rate(0.0)
+        .build()
+        .unwrap();
+    let web = generate(&study.web);
+    let mut shard = crawl_study(&web, &study).unwrap();
+    let step = &mut shard.walks[0].steps[0];
+    step.observations.truncate(1);
+    step.observations[0].beacons.truncate(2);
+    let mut truth = TruthLog::new();
+    for (value, label) in web.truth_snapshot().iter().take(10) {
+        truth.note(value, label);
+    }
+    Frame::ShardResult {
+        lease_id: 3,
+        shard,
+        truth,
+    }
+}
+
+fn shard_result_frame(payload: &[u8]) -> Vec<u8> {
+    let mut bytes = MAGIC.to_vec();
+    bytes.push(0x05);
+    bytes.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
+/// Hostile payloads: every truncation of a real ShardResult payload is a
+/// `BadPayload`, and every single-byte change is one too, or else a frame
+/// that survives its own round trip (a changed digit or string byte, or a
+/// key renamed out of the schema, where the field is optional). None
+/// panics.
+#[test]
+fn every_cut_and_byte_change_of_a_real_shard_payload_is_refused_or_sound() {
+    let frame = small_real_shard_result();
+    let bytes = encode(&frame);
+    let payload = &bytes[9..];
+    for cut in 0..payload.len() {
+        match decode(&shard_result_frame(&payload[..cut])) {
+            Err(FrameError::BadPayload { frame, .. }) => assert_eq!(frame, "ShardResult"),
+            other => panic!("cut at {cut} of {}: {other:?}", payload.len()),
+        }
+    }
+    let mut decoded = 0;
+    for at in 0..payload.len() {
+        for &b in SUBSTITUTES.iter().filter(|&&b| b != payload[at]) {
+            let mut changed = payload.to_vec();
+            changed[at] = b;
+            match decode(&shard_result_frame(&changed)) {
+                Err(FrameError::BadPayload { .. }) => {}
+                Ok((back, _)) => {
+                    decoded += 1;
+                    let again = decode(&encode(&back)).unwrap().0;
+                    assert!(again == back, "byte {at} set to {b:#04x}: no round trip");
+                }
+                Err(other) => panic!("byte {at} set to {b:#04x}: {other}"),
+            }
+        }
+    }
+    assert!(decoded > 0, "no single-byte change decoded at all");
+}
+
+/// Nesting past the parser's limit is refused, inside a field that no
+/// frame reads as well, before it can exhaust the stack.
+#[test]
+fn deep_nesting_in_a_payload_is_bad_payload_not_a_stack_overflow() {
+    let frame = Frame::Heartbeat {
+        lease_id: 1,
+        walks_done: 0,
+    };
+    let payload = &encode(&frame)[9..];
+    let nested = |n: usize| {
+        let open = "[".repeat(n);
+        let close = "]".repeat(n);
+        let text = std::str::from_utf8(payload).unwrap();
+        format!("{{\"unknown\":{open}{close},{}", &text[1..])
+    };
+    let with = |n: usize| {
+        let mut bytes = MAGIC.to_vec();
+        bytes.push(0x04);
+        let p = nested(n);
+        bytes.extend_from_slice(&(p.len() as u32).to_be_bytes());
+        bytes.extend_from_slice(p.as_bytes());
+        decode(&bytes)
+    };
+    assert_eq!(with(128).unwrap().0, frame);
+    for n in [129, 100_000] {
+        assert!(
+            matches!(with(n), Err(FrameError::BadPayload { .. })),
+            "{n} levels"
+        );
+    }
+}

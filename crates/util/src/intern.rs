@@ -215,15 +215,19 @@ impl Default for IStr {
 }
 
 impl serde::Serialize for IStr {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::String(self.0.to_string())
+    fn serialize<S: serde::Sink>(&self, sink: &mut S) {
+        sink.str(&self.0);
+    }
+
+    fn to_key(&self) -> std::borrow::Cow<'_, str> {
+        std::borrow::Cow::Borrowed(&self.0)
     }
 }
 
 impl serde::Deserialize for IStr {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        match v {
-            serde::Value::String(s) => Ok(IStr::new(s)),
+    fn deserialize<S: serde::Source>(src: &mut S) -> Result<Self, serde::DeError> {
+        match src.peek()? {
+            serde::Kind::String => Ok(IStr::new(src.str()?)),
             other => Err(serde::DeError::expected("a string", other)),
         }
     }

@@ -11,9 +11,21 @@ use std::time::Instant;
 /// Shared crawl-progress counters: aggregate walk/step throughput plus a
 /// per-worker breakdown (so a stalled or starved worker is visible, the
 /// way load-test harnesses report per-worker request counts).
+///
+/// The elapsed time (and so the rates) runs from construction, or from
+/// the last [`ProgressCounters::start_clock`], until
+/// [`ProgressCounters::stop_clock`]. The code that runs a crawl calls
+/// both around it, so counters made before world generation and read
+/// after the analysis still time the crawl alone.
 #[derive(Debug)]
 pub struct ProgressCounters {
-    started: Instant,
+    /// The instant the clock readings below count from.
+    origin: Instant,
+    /// Nanoseconds after `origin` when the clock started.
+    started_ns: AtomicU64,
+    /// Nanoseconds after `origin` when the clock stopped; `RUNNING` until
+    /// then.
+    stopped_ns: AtomicU64,
     walks: AtomicU64,
     steps: AtomicU64,
     per_worker: Vec<WorkerCounters>,
@@ -26,11 +38,16 @@ struct WorkerCounters {
     steps: AtomicU64,
 }
 
+/// `stopped_ns` while the clock runs.
+const RUNNING: u64 = u64::MAX;
+
 impl ProgressCounters {
-    /// Counters for a crawl with `n_workers` workers.
+    /// Counters for a crawl with `n_workers` workers; the clock starts now.
     pub fn new(n_workers: usize) -> Self {
         ProgressCounters {
-            started: Instant::now(),
+            origin: Instant::now(),
+            started_ns: AtomicU64::new(0),
+            stopped_ns: AtomicU64::new(RUNNING),
             walks: AtomicU64::new(0),
             steps: AtomicU64::new(0),
             per_worker: (0..n_workers).map(|_| WorkerCounters::default()).collect(),
@@ -53,9 +70,33 @@ impl ProgressCounters {
         }
     }
 
+    /// (Re)start the clock now: the crawl begins.
+    pub fn start_clock(&self) {
+        self.started_ns.store(self.now_ns(), Ordering::Relaxed);
+        self.stopped_ns.store(RUNNING, Ordering::Relaxed);
+    }
+
+    /// Stop the clock now: the crawl is over, and later snapshots report
+    /// its elapsed time.
+    pub fn stop_clock(&self) {
+        self.stopped_ns.store(self.now_ns(), Ordering::Relaxed);
+    }
+
+    fn now_ns(&self) -> u64 {
+        self.origin
+            .elapsed()
+            .as_nanos()
+            .min(u128::from(RUNNING - 1)) as u64
+    }
+
     /// A consistent-enough view of the counters right now.
     pub fn snapshot(&self) -> ProgressSnapshot {
-        self.snapshot_with_elapsed(self.started.elapsed().as_secs_f64())
+        let end = match self.stopped_ns.load(Ordering::Relaxed) {
+            RUNNING => self.now_ns(),
+            stopped => stopped,
+        };
+        let ns = end.saturating_sub(self.started_ns.load(Ordering::Relaxed));
+        self.snapshot_with_elapsed(ns as f64 / 1e9)
     }
 
     /// [`ProgressCounters::snapshot`] with the elapsed time supplied by the
@@ -102,7 +143,7 @@ pub struct ProgressSnapshot {
     pub walks: u64,
     /// Steps completed so far.
     pub steps: u64,
-    /// Seconds since the counters were created.
+    /// Seconds the crawl's clock has run (see [`ProgressCounters`]).
     pub elapsed_secs: f64,
     /// Walk throughput over the whole run.
     pub walks_per_sec: f64,
@@ -200,6 +241,29 @@ mod tests {
         let s = p.snapshot();
         assert_eq!(s.walks, 1);
         assert_eq!(s.per_worker[0].walks, 0);
+    }
+
+    #[test]
+    fn the_clock_runs_only_between_start_and_stop() {
+        let p = ProgressCounters::new(1);
+        std::thread::sleep(std::time::Duration::from_millis(30));
+        p.start_clock();
+        p.record_walk(0, 1);
+        p.stop_clock();
+        let crawl = p.snapshot().elapsed_secs;
+        assert!(
+            crawl < 0.030,
+            "the time before start_clock counted: {crawl}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        assert_eq!(
+            p.snapshot().elapsed_secs,
+            crawl,
+            "the clock ran after stop_clock"
+        );
+        p.start_clock();
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        assert!(p.snapshot().elapsed_secs >= 0.005, "a restarted clock runs");
     }
 
     #[test]

@@ -180,15 +180,15 @@ impl TruthLog {
     /// commutative: interleaved notes from parallel crawl workers yield
     /// the same ledger as any serial order.
     pub fn note(&mut self, value: &str, truth: TokenTruth) {
-        use std::collections::hash_map::Entry;
-        match self.entries.entry(value.to_string()) {
-            Entry::Vacant(e) => {
-                e.insert(truth);
-            }
-            Entry::Occupied(mut e) => {
-                if truth.resolution_key() > e.get().resolution_key() {
-                    e.insert(truth);
+        // Look up before allocating: merges mostly meet values already held.
+        match self.entries.get_mut(value) {
+            Some(held) => {
+                if truth.resolution_key() > held.resolution_key() {
+                    *held = truth;
                 }
+            }
+            None => {
+                self.entries.insert(value.to_owned(), truth);
             }
         }
     }

@@ -254,6 +254,8 @@ impl<'a> StudyBuilder<'a> {
         };
         let dataset = {
             let _span = telemetry::span("study.crawl");
+            // The progress clock times the crawl alone, inside its span.
+            progress.start_clock();
             let mut run = StudyRun::new(&web, study).progress(progress);
             if let Some(ck) = self.resume {
                 run = run.resume(ck);
@@ -264,7 +266,9 @@ impl<'a> StudyBuilder<'a> {
             if let Some(policy) = self.publish {
                 run = run.publish(policy);
             }
-            run.run()?
+            let dataset = run.run();
+            progress.stop_clock();
+            dataset?
         };
         Ok(StudyCrawl {
             web,

@@ -318,3 +318,36 @@ fn walk_counts_agree_across_planes_on_both_backends() {
     assert!(has_pipeline_span(&report), "truth ran without the pipeline");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The run report's `workers` section times the crawl alone: the world is
+/// generated before it and the pipeline runs after it, so its clock fits
+/// inside the `study.crawl` span and its rates count crawl time only.
+#[test]
+fn the_run_report_times_only_the_crawl() {
+    let _exclusive = exclusive();
+    let dir = std::env::temp_dir().join(format!("ccrs-obs-crawl-clock-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let report_path = dir.join("truth-run.json");
+    let mut truth = parse(&argv(&format!(
+        "truth --seed 13 --steps 3 --walks 12 --workers 2 --metrics-out {}",
+        report_path.display()
+    )))
+    .unwrap();
+    truth.study.web = crumbcruncher::web::WebConfig::small();
+    run(&truth).unwrap();
+    let report = RunReport::from_json(&std::fs::read_to_string(&report_path).unwrap()).unwrap();
+    let span_ms = |path: &str| {
+        let span = report.timing.spans.iter().find(|s| s.path == path);
+        span.unwrap_or_else(|| panic!("no {path} span")).total_ms
+    };
+    let crawl_ms = span_ms("study.crawl");
+    assert!(span_ms("study.generate_web") > 0.0 && span_ms("study.pipeline") > 0.0);
+    let workers = report.workers.expect("a parallel run reports its workers");
+    assert!(
+        workers.elapsed_secs * 1e3 <= crawl_ms,
+        "workers.elapsed_secs {} s is longer than the study.crawl span, {crawl_ms} ms",
+        workers.elapsed_secs
+    );
+    assert_eq!(workers.walks, 12);
+    std::fs::remove_dir_all(&dir).ok();
+}
