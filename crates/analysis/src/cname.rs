@@ -31,29 +31,29 @@ pub fn detect_cloaking(
     dataset: &CrawlDataset,
     output: &PipelineOutput,
 ) -> Vec<CloakedHost> {
-    let mut hosts: BTreeSet<String> = BTreeSet::new();
+    let mut hosts: BTreeSet<&str> = BTreeSet::new();
     for p in &output.paths {
-        hosts.insert(p.origin.host.as_str().to_string());
+        hosts.insert(p.origin.host.as_str());
         for h in &p.hops {
-            hosts.insert(h.host.as_str().to_string());
+            hosts.insert(h.host.as_str());
         }
     }
     for obs in dataset.observations() {
         for (_, beacon) in &obs.beacons {
-            hosts.insert(beacon.host.as_str().to_string());
+            hosts.insert(beacon.host.as_str());
         }
     }
 
     let mut out: Vec<CloakedHost> = hosts
         .into_iter()
         .filter_map(|h| {
-            let res = web.dns.resolve(&h).ok()?;
+            let res = web.dns.resolve(h).ok()?;
             if !res.is_cloaked() {
                 return None;
             }
             let canonical = res.canonical().to_string();
             Some(CloakedHost {
-                host: h,
+                host: h.to_string(),
                 canonical_domain: cc_url::registered_domain(&canonical),
                 canonical,
             })

@@ -13,10 +13,11 @@
 //! different top-level sites (that capability is exactly what UID
 //! smuggling restores).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 
 use cc_crawler::CrawlDataset;
-use cc_util::Counter;
+use cc_util::{Counter, IStr};
 use serde::{Deserialize, Serialize};
 
 /// One detected sync relationship.
@@ -26,22 +27,6 @@ pub struct SyncPair {
     pub a: String,
     /// Registered domain of the other endpoint.
     pub b: String,
-}
-
-impl SyncPair {
-    fn new(x: &str, y: &str) -> Self {
-        if x <= y {
-            SyncPair {
-                a: x.to_string(),
-                b: y.to_string(),
-            }
-        } else {
-            SyncPair {
-                a: y.to_string(),
-                b: x.to_string(),
-            }
-        }
-    }
 }
 
 /// Results of the cookie-sync analysis.
@@ -67,54 +52,78 @@ fn sync_candidate(value: &str) -> bool {
 }
 
 /// Detect cookie syncing across a crawl.
+///
+/// Values are keyed by `&str` borrowed from the dataset and domains by
+/// their interned handles (a bounded vocabulary), so the scan allocates
+/// only the pairs and values it reports.
 pub fn detect_cookie_sync(dataset: &CrawlDataset) -> CookieSyncReport {
-    // value → top-level sites it appeared under.
-    let mut sites_by_value: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    // value → third-party domains that received it (per page).
-    let mut pair_counter: Counter<SyncPair> = Counter::new();
-    let mut synced: BTreeSet<String> = BTreeSet::new();
+    // value → the first top-level site it appeared under, and whether it
+    // has appeared under another.
+    let mut sites_by_value: HashMap<&str, (&str, bool)> = HashMap::new();
+    // Unordered pair of receiving third-party domains (smaller first) →
+    // pages on which both received the same value.
+    let mut pair_counter: Counter<(IStr, IStr)> = Counter::new();
+    let mut synced: HashSet<&str> = HashSet::new();
+    // Per page: (value, receiving third-party domain).
+    let mut receivers: Vec<(&str, IStr)> = Vec::new();
 
     for obs in dataset.observations() {
-        // Per page: value → receiving third-party domains.
-        let mut receivers: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
+        receivers.clear();
         for (top_site, beacon) in &obs.beacons {
-            let target = beacon.registered_domain();
-            if &target == top_site {
+            let target = beacon.registered_domain_interned();
+            if target == *top_site {
                 continue; // first-party request, not a third-party sync
             }
             for (_k, v) in beacon.query() {
                 if !sync_candidate(v) {
                     continue;
                 }
-                receivers.entry(v).or_default().insert(target.clone());
-                sites_by_value
-                    .entry(v.to_string())
-                    .or_default()
-                    .insert(top_site.to_string());
+                receivers.push((v, target.clone()));
+                match sites_by_value.entry(v) {
+                    Entry::Vacant(e) => {
+                        e.insert((top_site.as_str(), false));
+                    }
+                    Entry::Occupied(mut e) => {
+                        let (first, many) = e.get_mut();
+                        *many |= *first != top_site.as_str();
+                    }
+                }
             }
         }
-        for (value, domains) in receivers {
+        receivers.sort_unstable();
+        receivers.dedup();
+        for domains in receivers.chunk_by(|x, y| x.0 == y.0) {
             if domains.len() < 2 {
                 continue;
             }
-            synced.insert(value.to_string());
-            let domains: Vec<&String> = domains.iter().collect();
-            for i in 0..domains.len() {
-                for j in (i + 1)..domains.len() {
-                    pair_counter.add(SyncPair::new(domains[i], domains[j]));
+            synced.insert(domains[0].0);
+            for (i, (_, a)) in domains.iter().enumerate() {
+                for (_, b) in &domains[i + 1..] {
+                    pair_counter.add((a.clone(), b.clone()));
                 }
             }
         }
     }
 
-    let cross_site_value_list: Vec<String> = synced
+    let mut cross_site_value_list: Vec<String> = synced
         .iter()
-        .filter(|v| sites_by_value.get(*v).map(BTreeSet::len).unwrap_or(0) > 1)
-        .cloned()
+        .filter(|v| sites_by_value.get(*v).is_some_and(|&(_, many)| many))
+        .map(|v| v.to_string())
         .collect();
+    cross_site_value_list.sort_unstable();
 
     CookieSyncReport {
-        pairs: pair_counter.sorted(),
+        pairs: pair_counter
+            .sorted()
+            .into_iter()
+            .map(|((a, b), n)| {
+                let pair = SyncPair {
+                    a: a.to_string(),
+                    b: b.to_string(),
+                };
+                (pair, n)
+            })
+            .collect(),
         synced_values: synced.len() as u64,
         cross_site_values: cross_site_value_list.len() as u64,
         cross_site_value_list,

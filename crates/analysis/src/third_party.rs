@@ -7,7 +7,7 @@
 //! site, suggesting that the UID may have been 'leaked' to these entities
 //! accidentally."
 
-use std::collections::BTreeSet;
+use std::collections::{HashMap, HashSet};
 
 use cc_core::pipeline::PipelineOutput;
 use cc_crawler::CrawlDataset;
@@ -27,10 +27,22 @@ pub struct ThirdPartyRow {
     pub via_full_url_only: u64,
 }
 
+/// How one beacon parameter value carries a UID.
+#[derive(Clone, Copy)]
+enum Leak {
+    /// It carries none.
+    None,
+    /// The value is a UID, or holds one without being a URL.
+    Direct,
+    /// The value is a URL (typically the full page URL riding in `u=`)
+    /// that holds a UID: the accidental-leak mechanism.
+    ViaUrl,
+}
+
 /// Count third-party requests carrying identified UIDs.
 pub fn figure6(dataset: &CrawlDataset, output: &PipelineOutput, k: usize) -> Vec<ThirdPartyRow> {
     // All UID values the pipeline identified.
-    let uid_values: BTreeSet<&str> = output
+    let uid_values: HashSet<&str> = output
         .findings
         .iter()
         .flat_map(|f| f.values.values())
@@ -41,41 +53,46 @@ pub fn figure6(dataset: &CrawlDataset, output: &PipelineOutput, k: usize) -> Vec
         return Vec::new();
     }
 
+    // A parameter's leak depends on its value alone: the extracted leaf
+    // values do not depend on the parameter name, which only labels them.
+    // Beacon parameter values repeat across requests, so each distinct
+    // value is classified, and extracted, once per call.
+    let mut leaks: HashMap<&str, Leak> = HashMap::new();
     let mut counts: Counter<String> = Counter::new();
     let mut full_url_only: Counter<String> = Counter::new();
 
     for obs in dataset.observations() {
         for (_top_site, beacon) in &obs.beacons {
-            let target = beacon.registered_domain();
             let mut direct = false;
             let mut via_url = false;
             for (key, value) in beacon.query() {
-                // A parameter whose value IS a UID is a direct leak; a UID
-                // recovered only by unwrapping the value (typically the
-                // full page URL riding in `u=`) is the accidental-leak
-                // mechanism. Extraction + set lookup keeps this linear in
-                // the beacon volume.
-                if uid_values.contains(value.as_str()) {
-                    direct = true;
-                    continue;
-                }
-                let is_url_value = value.starts_with("http://") || value.starts_with("https://");
-                let inner_hit = cc_core::extract::extract_tokens(key, value)
-                    .iter()
-                    .any(|e| uid_values.contains(e.value.as_str()));
-                if inner_hit {
-                    if is_url_value {
-                        via_url = true;
-                    } else {
-                        direct = true;
+                let leak = *leaks.entry(value).or_insert_with(|| {
+                    if uid_values.contains(value.as_str()) {
+                        return Leak::Direct;
                     }
+                    let inner_hit = cc_core::extract::extract_tokens(key, value)
+                        .iter()
+                        .any(|e| uid_values.contains(e.value.as_str()));
+                    if !inner_hit {
+                        Leak::None
+                    } else if value.starts_with("http://") || value.starts_with("https://") {
+                        Leak::ViaUrl
+                    } else {
+                        Leak::Direct
+                    }
+                });
+                match leak {
+                    Leak::None => {}
+                    Leak::Direct => direct = true,
+                    Leak::ViaUrl => via_url = true,
                 }
             }
             if direct || via_url {
-                counts.add(target.clone());
+                let target = beacon.registered_domain();
                 if via_url && !direct {
-                    full_url_only.add(target);
+                    full_url_only.add(target.clone());
                 }
+                counts.add(target);
             }
         }
     }
@@ -189,6 +206,32 @@ mod tests {
         let rows = figure6(&ds, &out, 10);
         assert_eq!(rows[0].requests, 1);
         assert_eq!(rows[0].via_full_url_only, 1);
+    }
+
+    #[test]
+    fn a_repeated_value_counts_on_every_beacon_under_any_name() {
+        // The second beacon carries the first one's full-URL value under
+        // another name, and the third repeats it beside a direct UID: each
+        // is classified as if its value had never been seen.
+        let leak = "https%3A%2F%2Fwww.b.com%2F%3Fgclid%3Duid_value_123456";
+        let ds = dataset_with_beacons(vec![
+            ("b.com", &format!("https://px.metrics.io/b?u={leak}")),
+            ("b.com", &format!("https://px.metrics.io/b?ref={leak}")),
+            (
+                "b.com",
+                &format!("https://t.ads.net/p?u={leak}&id=uid_value_123456"),
+            ),
+        ]);
+        let out = PipelineOutput {
+            findings: vec![finding_with_value("uid_value_123456")],
+            ..Default::default()
+        };
+        let rows = figure6(&ds, &out, 10);
+        let rows: Vec<(&str, u64, u64)> = rows
+            .iter()
+            .map(|r| (r.domain.as_str(), r.requests, r.via_full_url_only))
+            .collect();
+        assert_eq!(rows, vec![("metrics.io", 2, 2), ("ads.net", 1, 0)]);
     }
 
     #[test]

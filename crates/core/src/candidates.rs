@@ -74,13 +74,10 @@ pub fn find_candidates(tokens: &[TokenObs], path: &PathView) -> Vec<Candidate> {
             continue;
         }
 
-        // Contexts the token is associated with (beacons excluded: a
-        // beacon leak is a consequence, not a transfer mechanism).
-        let contexts: BTreeSet<String> = obs
-            .iter()
-            .filter(|t| t.source != TokenSource::Beacon)
-            .map(|t| t.context.clone())
-            .collect();
+        // Contexts the token is associated with. Beacons never enter:
+        // `observe` emits no beacon tokens, since a beacon leak is a
+        // consequence, not a transfer mechanism.
+        let contexts: BTreeSet<String> = obs.iter().map(|t| t.context.clone()).collect();
         if contexts.len() < 2 {
             continue;
         }
@@ -289,22 +286,6 @@ mod tests {
         assert_eq!(c.len(), 1);
         assert!(!c[0].at_origin);
         assert!(c[0].at_destination);
-    }
-
-    #[test]
-    fn beacon_only_context_does_not_count_as_transfer() {
-        // Token in a nav query on one domain + a beacon elsewhere: beacons
-        // are leaks, not transfers.
-        let tokens = vec![
-            obs(
-                "x",
-                "value123456789",
-                TokenSource::NavQuery { hop: 0 },
-                "trk.net",
-            ),
-            obs("u", "value123456789", TokenSource::Beacon, "shop.com"),
-        ];
-        assert!(find_candidates(&tokens, &path()).is_empty());
     }
 
     #[test]

@@ -1,11 +1,17 @@
 //! Flattening crawl records into token observations.
 //!
-//! Every value CrumbCruncher recorded — cookies and localStorage on the
-//! originator and destination pages, query parameters of every navigation
-//! hop, and beacon-request parameters — is run through the recursive
-//! extractor and tagged with the first-party context (registered domain) it
-//! was observed in. The later stages reason entirely over these flat
-//! observations.
+//! Every value a candidate can be built from — cookies and localStorage
+//! on the originator and destination pages, and query parameters of the
+//! originator page and of every navigation hop — is run through the
+//! recursive extractor and tagged with the first-party context (registered
+//! domain) it was observed in. The later stages reason entirely over these
+//! flat observations.
+//!
+//! Beacon-request parameters are not extracted here. The study counts a
+//! token only when it crosses first-party contexts as a navigation query
+//! parameter (§3.6); a beacon is a leak to a third party, not a transfer,
+//! so no stage of the pipeline reads a beacon token. The report reads
+//! beacons itself (Figure 6 and cookie sync, in cc-analysis).
 
 use cc_crawler::{CrawlObservation, CrawlerName};
 use cc_url::Url;
@@ -31,8 +37,6 @@ pub enum TokenSource {
     DestCookie,
     /// localStorage on the destination page.
     DestLocal,
-    /// Query parameter of a beacon (subresource) request.
-    Beacon,
 }
 
 impl TokenSource {
@@ -221,24 +225,6 @@ pub fn observe(
         }
     }
 
-    // Beacons (third-party requests) — tagged with the page they fired
-    // from.
-    for (top_site, url) in &obs.beacons {
-        for (name, value) in url.query() {
-            emit(
-                &mut out,
-                walk,
-                step,
-                obs.crawler,
-                name,
-                value,
-                TokenSource::Beacon,
-                top_site,
-                None,
-            );
-        }
-    }
-
     let path = (!obs.nav_hops.is_empty()).then(|| PathView {
         walk,
         step,
@@ -328,8 +314,17 @@ mod tests {
         assert!(sources.contains(&TokenSource::NavQuery { hop: 0 }));
         assert!(sources.contains(&TokenSource::NavQuery { hop: 1 }));
         assert!(sources.contains(&TokenSource::DestCookie));
-        assert!(sources.contains(&TokenSource::Beacon));
         assert!(path.is_some());
+    }
+
+    #[test]
+    fn beacon_parameters_yield_no_tokens() {
+        let obs = sample_obs();
+        let (with_beacons, _) = observe(0, 0, &obs);
+        assert!(with_beacons.iter().all(|t| t.value != "beacon-uid-1"));
+        let mut without = obs;
+        without.beacons.clear();
+        assert_eq!(observe(0, 0, &without).0, with_beacons);
     }
 
     #[test]
@@ -340,8 +335,8 @@ mod tests {
             .filter(|t| t.value == "aabbccddeeff0011")
             .map(|t| t.context.as_str())
             .collect();
-        // Origin cookie (news.com), both hops (trk.net, shop.com), dest
-        // cookie blob (shop.com), and the beacon's full-URL leak.
+        // Origin cookie (news.com), both hops (trk.net, shop.com) and the
+        // dest cookie blob (shop.com).
         assert!(contexts.contains("news.com"));
         assert!(contexts.contains("trk.net"));
         assert!(contexts.contains("shop.com"));

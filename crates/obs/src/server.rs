@@ -123,8 +123,7 @@ fn observe_loop(
         match listener.accept() {
             Ok((stream, _)) => {
                 if stream.set_nonblocking(false).is_ok() {
-                    answer_one(stream, sources);
-                    requests.fetch_add(1, Ordering::Relaxed);
+                    answer_one(stream, sources, requests);
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -137,7 +136,10 @@ fn observe_loop(
 
 /// Read one request, answer it, close. Bounded timeouts throughout: a
 /// stuck scraper must never wedge the observer thread.
-fn answer_one(stream: TcpStream, sources: &ObsSources) {
+///
+/// The request is counted before its response is written, so a client
+/// that has read its answer finds `requests_served` already past it.
+fn answer_one(stream: TcpStream, sources: &ObsSources, requests: &AtomicU64) {
     let timeout = Some(Duration::from_millis(2_000));
     if stream.set_read_timeout(timeout).is_err() || stream.set_write_timeout(timeout).is_err() {
         return;
@@ -156,6 +158,10 @@ fn answer_one(stream: TcpStream, sources: &ObsSources) {
         Err(_) => return,
     };
     response.headers.set("connection", "close");
+    // Relaxed: the count publishes no other data. The increment is
+    // sequenced before the write, and the socket orders that write before
+    // the client's read of it.
+    requests.fetch_add(1, Ordering::Relaxed);
     let _ = response.write_to(&mut writer);
     let _ = writer.flush();
 }

@@ -61,8 +61,13 @@ fn observer_serves_every_endpoint_with_hygiene_headers() {
     let obs = Observer::start("127.0.0.1:0", sources).unwrap();
     let addr = obs.addr();
 
-    for path in ["/healthz", "/progress", "/metrics", "/timeseries"] {
+    for (served, path) in ["/healthz", "/progress", "/metrics", "/timeseries"]
+        .into_iter()
+        .enumerate()
+    {
         let resp = get(addr, path);
+        // Counted before the response was written.
+        assert_eq!(obs.requests_served(), served as u64 + 1, "{path}");
         assert_eq!(resp.status, StatusCode::OK, "{path}");
         assert_eq!(
             resp.headers.get("content-type"),
@@ -74,6 +79,7 @@ fn observer_serves_every_endpoint_with_hygiene_headers() {
     }
 
     let prom = get(addr, "/metrics.prom");
+    assert_eq!(obs.requests_served(), 5);
     assert_eq!(prom.status, StatusCode::OK);
     assert_eq!(
         prom.headers.get("content-type"),
