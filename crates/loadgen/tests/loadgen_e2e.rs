@@ -1,12 +1,22 @@
 //! End-to-end load generation against a real cc-serve instance on a
 //! loopback ephemeral port: totals add up, a healthy server yields zero
-//! errors, the floor assertion works in both directions, and an
-//! overloaded server sheds without hanging the run.
+//! errors and counts exactly the requests the client sent, the floor
+//! assertion works in both directions, the mixed load holds the serving
+//! floor and p99 SLO, and an overloaded server sheds without hanging the
+//! run.
 
 use cc_crawler::{CrawlConfig, Walker};
 use cc_loadgen::{run_load, LoadConfig, LoadReport, TaskMix};
 use cc_serve::{ServeConfig, Server, ServerHandle, ServingIndex};
 use cc_web::{generate, WebConfig};
+
+/// Serializes the tests in this binary, so no other test's server or
+/// users share the cores with the throughput floor's run.
+static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn exclusive() -> std::sync::MutexGuard<'static, ()> {
+    TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn start_server(cfg: ServeConfig) -> ServerHandle {
     let web = generate(&WebConfig::small());
@@ -28,6 +38,7 @@ fn start_server(cfg: ServeConfig) -> ServerHandle {
 
 #[test]
 fn healthy_run_is_clean_and_accountable() {
+    let _exclusive = exclusive();
     let handle = start_server(ServeConfig {
         workers: 4,
         ..ServeConfig::default()
@@ -72,15 +83,47 @@ fn healthy_run_is_clean_and_accountable() {
     assert_eq!(back.tasks.len(), report.tasks.len());
     assert!(LoadReport::from_json(&json.replace("cc-loadgen/v1", "bogus/v9")).is_err());
 
-    // Server-side accounting agrees with the client's view.
+    // Server-side accounting agrees with the client's view: every load
+    // request plus the one priming `/catalog` fetch.
     let metrics = handle.shutdown();
-    let served = metrics.deterministic.counters["serve.requests"];
-    assert!(served >= 180, "server saw {served} requests");
+    assert_eq!(metrics.deterministic.counters["serve.requests"], 180 + 1);
     assert_eq!(metrics.deterministic.counters.get("serve.5xx"), None);
+}
+
+/// The serving floor: 4 users × 2,000 mixed requests against 8 server
+/// workers hold 2,000 req/s and a 50 ms aggregate p99, with no 5xx and no
+/// transport error (the run stays below the shed threshold).
+#[test]
+fn mixed_load_holds_the_throughput_floor_and_p99_slo() {
+    let _exclusive = exclusive();
+    let handle = start_server(ServeConfig {
+        workers: 8,
+        max_inflight: 256,
+        ..ServeConfig::default()
+    });
+    let mut cfg = LoadConfig::new(handle.addr().to_string());
+    cfg.users = 4;
+    cfg.requests_per_user = 2_000;
+    cfg.seed = 0xBE7C4;
+    let report = run_load(&cfg).unwrap();
+    let metrics = handle.shutdown();
+    let latency = &report.aggregate.latency;
+    println!(
+        "serve: {:.0} req/s, p99 {:.3} ms over {} requests",
+        report.throughput_rps, latency.p99_ms, report.total_requests
+    );
+
+    report.assert_floor(2_000.0).unwrap();
+    report.assert_p99_slo(50.0).unwrap();
+    assert!(!report.timeline.is_empty(), "no latency timeline");
+    let counters = &metrics.deterministic.counters;
+    assert_eq!(counters["serve.requests"], report.total_requests + 1);
+    assert_eq!(counters.get("serve.5xx"), None);
 }
 
 #[test]
 fn deterministic_shape_same_seed_same_split() {
+    let _exclusive = exclusive();
     let handle = start_server(ServeConfig::default());
     let mut cfg = LoadConfig::new(handle.addr().to_string());
     cfg.users = 2;
@@ -103,6 +146,7 @@ fn deterministic_shape_same_seed_same_split() {
 
 #[test]
 fn overloaded_server_sheds_but_the_run_never_hangs() {
+    let _exclusive = exclusive();
     // A deliberately tiny server: one worker, admission bound of one,
     // slowed handling. Four users hammering it must observe shed 503s
     // (or reconnect-path transport errors), yet the run completes and
@@ -144,6 +188,7 @@ fn overloaded_server_sheds_but_the_run_never_hangs() {
 
 #[test]
 fn bad_target_and_bad_config_fail_cleanly() {
+    let _exclusive = exclusive();
     let mut cfg = LoadConfig::new("127.0.0.1:1");
     cfg.users = 1;
     cfg.requests_per_user = 1;
@@ -158,6 +203,7 @@ fn bad_target_and_bad_config_fail_cleanly() {
 
 #[test]
 fn timeline_tracks_the_run_and_slo_gates_both_ways() {
+    let _exclusive = exclusive();
     let handle = start_server(ServeConfig {
         workers: 4,
         ..ServeConfig::default()

@@ -223,8 +223,12 @@ fn dashboard_out_works_without_an_observer() {
 }
 
 /// `workers.walks` equals the per-worker rows' sum and the dataset's walk
-/// count, and the run never ran the pipeline.
-fn assert_walks_conserved(report_path: &std::path::Path, dataset_path: &std::path::Path) {
+/// count, and the run never ran the pipeline. Returns the report and the
+/// walk count.
+fn assert_walks_conserved(
+    report_path: &std::path::Path,
+    dataset_path: &std::path::Path,
+) -> (RunReport, u64) {
     let report = RunReport::from_json(&std::fs::read_to_string(report_path).unwrap()).unwrap();
     let dataset = CrawlDataset::from_json(&std::fs::read_to_string(dataset_path).unwrap()).unwrap();
     let workers = report
@@ -239,6 +243,8 @@ fn assert_walks_conserved(report_path: &std::path::Path, dataset_path: &std::pat
         "progress disagrees with the dataset"
     );
     assert!(!has_pipeline_span(&report), "the crawl ran the pipeline");
+    let walks = workers.walks;
+    (report, walks)
 }
 
 fn has_pipeline_span(report: &RunReport) -> bool {
@@ -304,7 +310,12 @@ fn walk_counts_agree_across_planes_on_both_backends() {
     for worker in workers {
         worker.join().unwrap().unwrap();
     }
-    assert_walks_conserved(&gaggle_report, &gaggle_out);
+    // The manager's totals equal the sums of the workers' parting
+    // Telemetry frames: leases it accepted, and walks it assembled.
+    let (report, walks) = assert_walks_conserved(&gaggle_report, &gaggle_out);
+    let counters = &report.deterministic.counters;
+    assert_eq!(counters["gaggle.leases.completed"], counters["gaggle.worker.leases"]);
+    assert_eq!(counters["gaggle.worker.walks"], walks);
 
     // A command that reads the pipeline still runs it.
     let mut truth = parse(&argv(&format!(

@@ -5,9 +5,11 @@
 //! counters, histograms, and events recording on every crawl thread must
 //! not perturb a single byte of output — and that the resulting
 //! [`RunReport`] actually carries the data `--metrics-out` promises:
-//! span rollups, histogram quantiles, and per-worker progress.
+//! span rollups, histogram quantiles, and per-worker progress. The
+//! failure ledger and the walk-termination events count the same walks,
+//! and no worker starves past the walk queue's reservation bound.
 
-use cc_crawler::{CrawlConfig, StudyConfig, StudyRun, Walker};
+use cc_crawler::{CrawlConfig, CrawlDataset, StudyConfig, StudyRun, Walker};
 use cc_telemetry::{RunReport, Session, WorkerSection};
 use cc_util::{ProgressCounters, ProgressSnapshot};
 use cc_web::{generate, WebConfig};
@@ -52,9 +54,9 @@ fn study(seed: u64, workers: usize) -> StudyConfig {
         .expect("valid study")
 }
 
-/// Crawl with telemetry active; return the serialized dataset plus the
-/// session's run report (with per-worker data folded in when parallel).
-fn crawl_with_telemetry(seed: u64, workers: Option<usize>) -> (String, RunReport) {
+/// Crawl with telemetry active; return the dataset plus the session's run
+/// report (with per-worker data folded in when parallel).
+fn crawl_with_telemetry(seed: u64, workers: Option<usize>) -> (CrawlDataset, RunReport) {
     let session = Session::start();
     let (dataset, progress): (_, Option<ProgressSnapshot>) = match workers {
         None => {
@@ -70,24 +72,43 @@ fn crawl_with_telemetry(seed: u64, workers: Option<usize>) -> (String, RunReport
             (ds, Some(progress.snapshot()))
         }
     };
-    let json = dataset.to_json().expect("dataset serializes");
     let report = match &progress {
         Some(snapshot) => session.report_with_workers(WorkerSection::from_progress(snapshot)),
         None => session.report(),
     };
-    (json, report)
+    (dataset, report)
+}
+
+/// The failure ledger holds exactly the walks whose termination event is
+/// not `completed`, and every walk has one termination event. Returns the
+/// number of degraded walks.
+fn assert_terminations_conserved(dataset: &CrawlDataset, report: &RunReport) -> u64 {
+    let events = &report.deterministic.events;
+    let kind = |k: &str| {
+        let key = format!("crawl.walk.terminated{{kind={k}}}");
+        events.get(&key).copied().unwrap_or(0)
+    };
+    let degraded = kind("sync_failure") + kind("divergence") + kind("connect_failure");
+    assert_eq!(dataset.ledger.len() as u64, degraded, "ledger vs events {events:?}");
+    assert_eq!(degraded + kind("completed"), dataset.walks.len() as u64);
+    degraded
 }
 
 #[test]
 fn serial_and_parallel_stay_byte_identical_with_telemetry_enabled() {
     let _exclusive = exclusive();
+    let mut degraded = 0;
     for seed in [11u64, 0xC0FFEE] {
-        let (serial_json, serial_report) = crawl_with_telemetry(seed, None);
-        assert!(serial_json.len() > 2, "seed {seed} produced no walks");
+        let (serial, serial_report) = crawl_with_telemetry(seed, None);
+        assert!(!serial.walks.is_empty(), "seed {seed} produced no walks");
+        degraded += assert_terminations_conserved(&serial, &serial_report);
+        let serial_json = serial.to_json().expect("dataset serializes");
         for workers in [2usize, 4] {
-            let (par_json, par_report) = crawl_with_telemetry(seed, Some(workers));
+            let (par, par_report) = crawl_with_telemetry(seed, Some(workers));
+            assert_terminations_conserved(&par, &par_report);
             assert_eq!(
-                serial_json, par_json,
+                serial_json,
+                par.to_json().expect("dataset serializes"),
                 "telemetry perturbed the crawl: seed {seed}, {workers} workers"
             );
             // The determinism boundary holds for the report itself: every
@@ -99,6 +120,8 @@ fn serial_and_parallel_stay_byte_identical_with_telemetry_enabled() {
             );
         }
     }
+    println!("{degraded} degraded walks across both seeds");
+    assert!(degraded > 0, "no walk degraded, so the ledger check proved nothing");
 }
 
 #[test]
@@ -191,6 +214,40 @@ fn multi_worker_runs_record_queue_gauges() {
             (0.0..=1.0).contains(&starvation),
             "worker {w} starvation {starvation} outside [0, 1]"
         );
+    }
+}
+
+/// On a 250-walk world, every worker at 1/2/4/8 workers claims at least
+/// its reserved quarter-share of the walks (starvation ≤ 0.85; 250 walks
+/// cap it at 0.776 by construction), and every dataset is the serial one.
+#[test]
+fn no_worker_starves_past_the_reservation_bound() {
+    let _exclusive = exclusive();
+    let seed = 0x9A7A11E1;
+    let world = WebConfig {
+        seed,
+        n_sites: 800,
+        n_seeders: 250,
+        ..WebConfig::default()
+    };
+    let base = StudyConfig::builder().web(world).seed(seed).steps(5).build();
+    let base = base.expect("valid study");
+    let web = generate(&base.web);
+    let serial = Walker::new(&web, base.crawl_config()).crawl();
+    assert_eq!(serial.walks.len(), 250);
+    let serial_json = serial.to_json().expect("dataset serializes");
+    for workers in [1usize, 2, 4, 8] {
+        let session = Session::start();
+        let study = StudyConfig { workers, ..base.clone() };
+        let ds = StudyRun::new(&web, &study).run().expect("study runs");
+        let gauges = session.report().timing.gauges;
+        let json = ds.to_json().expect("dataset serializes");
+        assert_eq!(serial_json, json, "{workers} workers");
+        let worst = (0..workers)
+            .map(|w| gauges[&format!("crawl.worker.queue_starvation.{w}")])
+            .fold(0.0, f64::max);
+        println!("{workers} workers: worst starvation {worst:.3}");
+        assert!(worst <= 0.85, "{workers} workers: starvation {worst:.3}");
     }
 }
 
