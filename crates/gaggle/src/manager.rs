@@ -63,7 +63,7 @@ pub struct ManagerOptions {
     /// Resume from a checkpoint: its walks are kept, the truth ledger
     /// restored, and only the remaining walk ids are leased out.
     pub resume: Option<CrawlCheckpoint>,
-    /// Caller-owned progress counters (the cc-obs `/progress` hook).
+    /// Caller-owned progress counters (the observer's `/progress` hook).
     /// Worker `w`'s walks land in slot `w % n_workers`.
     pub progress: Option<Arc<ProgressCounters>>,
 }

@@ -5,7 +5,7 @@
 //! speaking the `cc-http` wire codecs, and fold their results into a
 //! [`LoadReport`] — per-endpoint throughput, p50/p90/p99 latency via
 //! `cc-telemetry` histograms, and error/shed rates. The report
-//! serializes to `BENCH_serve.json`, and
+//! serializes to the `cc-loadgen/v1` load report JSON, and
 //! [`LoadReport::assert_floor`] enforces the benchmark floor
 //! (aggregate req/s minimum, zero 5xx below the shed threshold) while
 //! [`LoadReport::assert_p99_slo`] gates tail latency. A monitor thread

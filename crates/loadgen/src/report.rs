@@ -1,5 +1,4 @@
-//! The load-test result artifact (`cc-loadgen/v1`, a.k.a.
-//! `BENCH_serve.json`).
+//! The load-test result artifact: the `cc-loadgen/v1` load report.
 
 use cc_telemetry::HistogramSummary;
 use cc_util::CcError;
@@ -141,7 +140,7 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// Serialize for `BENCH_serve.json`.
+    /// Serialize as the `cc-loadgen/v1` load report JSON.
     pub fn to_json(&self) -> Result<String, CcError> {
         serde_json::to_string_pretty(self).map_err(|e| CcError::Serde(e.to_string()))
     }

@@ -1,69 +1,31 @@
 //! # cc-obs
 //!
-//! The **live observability plane** over [`cc_telemetry`]: where PR 2's
+//! The **live observability plane** over [`cc_telemetry`]: where the
 //! telemetry layer records everything and dumps one JSON blob when the
-//! run ends, this crate makes the same collector *consumable while the
-//! run is still going* — the capability the paper's authors lacked when
-//! they diagnosed crawl failures and desynchronization from raw logs
-//! after a days-long EC2 run (§3.3, §5).
+//! run ends, this crate keeps a time series of the same collector while
+//! the run is still going — the capability the paper's authors lacked
+//! when they diagnosed crawl failures and desynchronization from raw
+//! logs after a days-long EC2 run (§3.3, §5).
 //!
-//! Three pieces, all strictly **observation-only** (they read atomics
+//! Two pieces, both strictly **observation-only** (they read atomics
 //! and take short read-locks on the collector; nothing feeds back into
-//! the crawl, so the byte-identity equivalence suites hold with every
-//! piece enabled):
+//! the crawl, so the byte-identity equivalence suites hold with both
+//! enabled):
 //!
-//! * [`Observer`] — a background HTTP thread (`--obs-addr`) serving
-//!   `/progress`, `/metrics`, `/metrics.prom`, and `/timeseries` from
-//!   the live [`cc_telemetry::Collector`] and
-//!   [`cc_util::ProgressCounters`] while a crawl runs;
 //! * [`Sampler`] — a periodic thread folding progress + latency
 //!   snapshots into a bounded [`cc_telemetry::SnapshotRing`];
 //! * [`dashboard`] — renders the ring into a self-contained single-file
 //!   HTML dashboard (`--dashboard-out`): inline JSON plus hand-rolled
 //!   SVG time-series, no external assets, goose-graph style.
+//!
+//! The live HTTP view of the same readings (`--obs-addr`) is cc-serve's
+//! observer route table, served by its one listener.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod dashboard;
 pub mod sampler;
-pub mod server;
-
-use std::sync::Arc;
-
-use cc_telemetry::{Collector, SnapshotRing};
-use cc_util::ProgressCounters;
 
 pub use dashboard::render_dashboard;
 pub use sampler::{take_sample, Sampler, SamplerConfig};
-pub use server::{Observer, ObserverHandle};
-
-/// The read-only handles the observability plane watches. Every field is
-/// optional so the observer works for a bare serve session (collector
-/// only) as well as a full crawl (collector + progress + ring).
-#[derive(Clone, Default)]
-pub struct ObsSources {
-    /// The live telemetry collector (`/metrics`, `/metrics.prom`).
-    pub collector: Option<Arc<Collector>>,
-    /// The crawl's progress counters (`/progress`).
-    pub progress: Option<Arc<ProgressCounters>>,
-    /// The sampler's ring (`/timeseries`, and the dashboard at exit).
-    pub ring: Option<Arc<SnapshotRing>>,
-    /// The currently served index epoch, when the crawl is also being
-    /// served live (`crawl --serve-addr`): cc-serve's `IndexHandle`
-    /// shares its epoch cell so `/progress` can report how far the
-    /// *served* view lags the crawl without this crate depending on
-    /// cc-serve.
-    pub epoch: Option<Arc<std::sync::atomic::AtomicU64>>,
-}
-
-impl std::fmt::Debug for ObsSources {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ObsSources")
-            .field("collector", &self.collector.is_some())
-            .field("progress", &self.progress.is_some())
-            .field("ring", &self.ring.is_some())
-            .field("epoch", &self.epoch.is_some())
-            .finish()
-    }
-}

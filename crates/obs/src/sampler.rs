@@ -1,7 +1,7 @@
 //! Periodic observability sampling into a bounded ring.
 //!
 //! The sampler is the bridge between the *instantaneous* readings the
-//! observer serves (`/progress`, `/metrics`) and the *time-series* the
+//! observer routes serve (`/progress`, `/metrics`) and the *time-series* the
 //! dashboard draws: every `interval` it folds one [`ObsSample`] —
 //! progress totals plus rates, the serve inflight gauge, the worst
 //! queue-starvation gauge, and latency quantiles — into a
@@ -27,22 +27,18 @@ const STARVATION_PREFIX: &str = "crawl.worker.queue_starvation";
 /// session records the first, a crawl the second.
 const LATENCY_HISTOGRAMS: [&str; 2] = ["serve.latency", "net.sim_latency"];
 
-/// How a [`Sampler`] paces itself.
+/// How a [`Sampler`] paces itself. The retention window is the ring's
+/// capacity, fixed where the ring is made.
 #[derive(Debug, Clone, Copy)]
 pub struct SamplerConfig {
     /// Time between samples.
     pub interval: Duration,
-    /// Ring capacity — samples retained (oldest dropped beyond this).
-    pub capacity: usize,
 }
 
 impl Default for SamplerConfig {
     fn default() -> Self {
-        // 250ms × 2400 = a 10-minute window, plenty for any test crawl
-        // and bounded (~55KB of samples) for a long one.
         SamplerConfig {
             interval: Duration::from_millis(250),
-            capacity: 2_400,
         }
     }
 }
@@ -56,14 +52,13 @@ pub struct Sampler {
 }
 
 impl Sampler {
-    /// Spawn the sampling thread. `collector` and `progress` may each be
-    /// absent; the corresponding fields stay zero. One sample is taken
-    /// immediately so even a sub-interval run has a data point.
+    /// Spawn the sampling thread. One sample is taken immediately so even
+    /// a sub-interval run has a data point.
     pub fn start(
         config: SamplerConfig,
         ring: Arc<SnapshotRing>,
-        collector: Option<Arc<Collector>>,
-        progress: Option<Arc<ProgressCounters>>,
+        collector: Arc<Collector>,
+        progress: Arc<ProgressCounters>,
     ) -> Sampler {
         let stop = Arc::new(AtomicBool::new(false));
         let thread = {
@@ -73,12 +68,16 @@ impl Sampler {
                 .spawn(move || {
                     let started = Instant::now();
                     loop {
+                        // Read the flag before sampling: once shutdown is
+                        // seen, the sample after it is the last, so it
+                        // counts everything done before the shutdown.
+                        let last = stop.load(Ordering::SeqCst);
                         ring.push(take_sample(
                             started.elapsed().as_secs_f64(),
-                            collector.as_deref(),
-                            progress.as_deref(),
+                            &collector,
+                            &progress,
                         ));
-                        if stop.load(Ordering::SeqCst) {
+                        if last {
                             break;
                         }
                         // Sleep in small slices so shutdown never waits a
@@ -125,34 +124,26 @@ impl std::fmt::Debug for Sampler {
     }
 }
 
-/// Fold the current readings into one sample. Public so tests (and the
-/// CLI's final-sample-at-exit path) can take a sample without a thread.
-pub fn take_sample(
-    t_s: f64,
-    collector: Option<&Collector>,
-    progress: Option<&ProgressCounters>,
-) -> ObsSample {
+/// Fold the current readings into one sample. Public so tests can take
+/// a sample without a thread.
+pub fn take_sample(t_s: f64, collector: &Collector, progress: &ProgressCounters) -> ObsSample {
+    let snap = progress.snapshot();
     let mut sample = ObsSample {
         t_s,
+        walks: snap.walks,
+        steps: snap.steps,
+        walks_per_sec: snap.walks_per_sec,
+        steps_per_sec: snap.steps_per_sec,
+        inflight: collector.gauge_value(INFLIGHT_GAUGE).unwrap_or(0.0),
+        starvation: collector.gauge_prefix_max(STARVATION_PREFIX).unwrap_or(0.0),
         ..ObsSample::default()
     };
-    if let Some(p) = progress {
-        let snap = p.snapshot();
-        sample.walks = snap.walks;
-        sample.steps = snap.steps;
-        sample.walks_per_sec = snap.walks_per_sec;
-        sample.steps_per_sec = snap.steps_per_sec;
-    }
-    if let Some(c) = collector {
-        sample.inflight = c.gauge_value(INFLIGHT_GAUGE).unwrap_or(0.0);
-        sample.starvation = c.gauge_prefix_max(STARVATION_PREFIX).unwrap_or(0.0);
-        for name in LATENCY_HISTOGRAMS {
-            if let Some(summary) = c.histogram_summary(name) {
-                if summary.count > 0 {
-                    sample.latency_p50_ms = summary.p50_ms;
-                    sample.latency_p99_ms = summary.p99_ms;
-                    break;
-                }
+    for name in LATENCY_HISTOGRAMS {
+        if let Some(summary) = collector.histogram_summary(name) {
+            if summary.count > 0 {
+                sample.latency_p50_ms = summary.p50_ms;
+                sample.latency_p99_ms = summary.p99_ms;
+                break;
             }
         }
     }

@@ -49,9 +49,8 @@ struct HandleInner {
     slots: [Mutex<Arc<ServingIndex>>; 2],
     /// Which slot readers should clone from (0 or 1).
     active: AtomicUsize,
-    /// The current epoch number, shared (as an [`Arc`]) with observers
-    /// that must not depend on cc-serve (cc-obs reads this cell).
-    epoch: Arc<AtomicU64>,
+    /// The current epoch number.
+    epoch: AtomicU64,
     /// Completed swaps (publishes accepted after construction).
     swaps: AtomicU64,
     /// Serializes publishers; never touched by readers.
@@ -73,7 +72,7 @@ impl IndexHandle {
                     Mutex::new(initial),
                 ],
                 active: AtomicUsize::new(0),
-                epoch: Arc::new(AtomicU64::new(epoch)),
+                epoch: AtomicU64::new(epoch),
                 swaps: AtomicU64::new(0),
                 publish_lock: Mutex::new(()),
                 collector: Mutex::new(None),
@@ -121,13 +120,6 @@ impl IndexHandle {
     /// index).
     pub fn swaps(&self) -> u64 {
         self.inner.swaps.load(Ordering::Acquire)
-    }
-
-    /// A shared cell holding the current epoch number, for observers
-    /// that must not depend on this crate (cc-obs splices it into
-    /// `/progress`).
-    pub fn epoch_cell(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.inner.epoch)
     }
 
     /// Route epoch metrics (`serve.epoch.swaps` counter, current-epoch

@@ -28,23 +28,34 @@
 //!   [`IndexPublisher`](publish::IndexPublisher) runs that fold on a
 //!   dedicated coalescing thread behind the executor's
 //!   [`SnapshotSink`](cc_crawler::SnapshotSink) hook.
-//! * [`server`] — [`Server`](server::Server): a `TcpListener` accept
-//!   loop feeding a fixed worker thread pool through a bounded queue.
-//!   Load above `max_inflight` is shed with `503`; shutdown (via
+//! * [`server`] — [`Server`](server::Server): the one `TcpListener`
+//!   accept loop feeding a fixed worker thread pool through a bounded
+//!   queue. Load above `max_inflight` is shed with `503`; shutdown (via
 //!   `POST /shutdown` or [`ServerHandle::shutdown`](server::ServerHandle))
 //!   stops accepting, drains in-flight connections, and joins cleanly.
-//! * [`router`] — maps decoded [`Request`](cc_http::Request)s to cached
-//!   bodies from one consistent epoch snapshot per request, handles
-//!   `If-None-Match` → `304`, stamps `X-Cc-Epoch` on every response, and
-//!   records per-endpoint telemetry into the server's private
-//!   [`Collector`](cc_telemetry::Collector) (served live at `/metrics`).
+//!   Every request's RED telemetry goes into the server's private
+//!   [`Collector`](cc_telemetry::Collector). A server answers through one
+//!   of two route tables, chosen when it is built:
+//!   [`Server::start`](server::Server::start) the index routes,
+//!   [`Server::observe`](server::Server::observe) the observer routes.
+//! * [`router`] — the two route tables. The index routes map decoded
+//!   [`Request`](cc_http::Request)s to cached bodies from one consistent
+//!   epoch snapshot per request, handle `If-None-Match` → `304`, and
+//!   stamp `X-Cc-Epoch` on every response. The observer routes
+//!   (`--obs-addr`) answer a running study's live readings from its
+//!   [`ObsSources`].
 //!
-//! Endpoints: `GET /healthz`, `/report`, `/report/{section}`,
+//! Index endpoints: `GET /healthz`, `/report`, `/report/{section}`,
 //! `/smugglers?role=dedicated|multi&limit=N`, `/uids/{domain}`,
 //! `/walks/{id}`, `/catalog`, `/progress` (walks indexed vs total for
 //! the current epoch), `/metrics`, `/metrics.prom` (Prometheus text
-//! exposition), `/logs` (deterministic head-sampled request log), and
-//! `POST /shutdown`.
+//! exposition of the server's own collector), `/logs` (deterministic
+//! head-sampled request log), and `POST /shutdown`.
+//!
+//! Observer endpoints: `GET /healthz`, `/progress` (the study's
+//! progress counters, plus `serve_epoch` when the crawl is also served),
+//! `/metrics` and `/metrics.prom` (the telemetry session's collector),
+//! and `/timeseries` (the sampler's ring).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -60,4 +71,5 @@ pub use index::{
     etag_for, http_date, last_modified_for_epoch, CachedBody, ServingIndex, SmugglerRole,
 };
 pub use publish::{IncrementalIndexBuilder, IndexPublisher};
+pub use router::ObsSources;
 pub use server::{RequestLogEntry, ServeConfig, Server, ServerHandle};

@@ -1,13 +1,34 @@
-//! Request routing: path dispatch, conditional revalidation, and error
-//! shaping.
+//! Request routing: the two route tables a server can be built with,
+//! conditional revalidation, and error shaping.
 //!
-//! Every data endpoint resolves to a precomputed [`CachedBody`] (or an
-//! assembled one, for `/smugglers`); the router's only work is matching
-//! the path, comparing `If-None-Match` against the strong ETag, and
-//! choosing between the full `200` and an empty `304`.
+//! `route` serves a crawl's index. Every data endpoint resolves to a
+//! precomputed [`CachedBody`] (or an assembled one, for `/smugglers`);
+//! the router's only work is matching the path, comparing
+//! `If-None-Match` against the strong ETag, and choosing between the
+//! full `200` and an empty `304`.
+//!
+//! `observe` serves a running study's live readings (`--obs-addr`):
+//!
+//! | endpoint | body |
+//! |---|---|
+//! | `/healthz` | `{"status":"ok"}` liveness |
+//! | `/progress` | the live [`ProgressSnapshot`](cc_util::ProgressSnapshot) as JSON, plus `serve_epoch` when the crawl is also served |
+//! | `/metrics` | the session collector's [`RunReport`](cc_telemetry::RunReport) as JSON |
+//! | `/metrics.prom` | the same report as Prometheus text exposition |
+//! | `/timeseries` | the sampler ring's retained window as JSON |
+//!
+//! The observer's routes only read: relaxed atomic loads and short locks
+//! on the collector's maps, never crawl state, an RNG, or the simulated
+//! clock. That is why the byte-identity suites pass with the observer
+//! on (`tests/observability.rs`).
 
-use cc_http::{Request, Response, StatusCode};
+use std::sync::Arc;
 
+use cc_http::{Method, Request, Response, StatusCode};
+use cc_telemetry::{Collector, SnapshotRing};
+use cc_util::ProgressCounters;
+
+use crate::handle::IndexHandle;
 use crate::index::{CachedBody, ServingIndex, SmugglerRole, SERVE_SCHEMA};
 use crate::server::{json_string, Shared};
 
@@ -40,8 +61,8 @@ impl Routed {
 /// response as `X-Cc-Epoch`, so clients (cc-loadgen's freshness
 /// assertions) can watch a followed crawl advance without parsing
 /// bodies.
-pub(crate) fn route(req: &Request, shared: &Shared) -> Routed {
-    let index = shared.handle.current();
+pub(crate) fn route(req: &Request, shared: &Shared<IndexHandle>) -> Routed {
+    let index = shared.source.current();
     let mut routed = route_inner(req, shared, &index);
     routed
         .response
@@ -50,10 +71,10 @@ pub(crate) fn route(req: &Request, shared: &Shared) -> Routed {
     routed
 }
 
-fn route_inner(req: &Request, shared: &Shared, index: &ServingIndex) -> Routed {
+fn route_inner(req: &Request, shared: &Shared<IndexHandle>, index: &ServingIndex) -> Routed {
     let path = req.url.path.as_str();
-    let is_get = req.method == cc_http::Method::Get;
-    let is_post = req.method == cc_http::Method::Post;
+    let is_get = req.method == Method::Get;
+    let is_post = req.method == Method::Post;
 
     if path == "/shutdown" {
         if !is_post {
@@ -72,29 +93,11 @@ fn route_inner(req: &Request, shared: &Shared, index: &ServingIndex) -> Routed {
     }
 
     if path == "/metrics" {
-        // Live, never cached: the snapshot changes with every request.
-        // A serialization failure is a real 500, not a 200 with an error
-        // body — scrapers alert on status codes, not on body contents.
-        let resp = match shared.collector.report(None).to_json() {
-            Ok(body) => live(StatusCode::OK, body, "application/json"),
-            Err(e) => live(
-                StatusCode::INTERNAL_SERVER_ERROR,
-                format!(
-                    "{{\"error\":\"metrics serialization failed\",\"detail\":{}}}",
-                    json_string(&e.to_string())
-                ),
-                "application/json",
-            ),
-        };
-        return Routed::new("metrics", resp);
+        return Routed::new("metrics", metrics_json(&shared.collector));
     }
 
     if path == "/metrics.prom" {
-        let text = cc_telemetry::render_prometheus(&shared.collector.report(None));
-        return Routed::new(
-            "metrics",
-            live(StatusCode::OK, text, "text/plain; version=0.0.4; charset=utf-8"),
-        );
+        return Routed::new("metrics", metrics_prom(&shared.collector));
     }
 
     if path == "/logs" {
@@ -111,7 +114,7 @@ fn route_inner(req: &Request, shared: &Shared, index: &ServingIndex) -> Routed {
             "{{\"schema\":\"{SERVE_SCHEMA}\",\"epoch\":{},\"swaps\":{},\
              \"walks_indexed\":{},\"walks_total\":{},\"complete\":{}}}",
             index.epoch(),
-            shared.handle.swaps(),
+            shared.source.swaps(),
             index.walks(),
             index.total_walks(),
             index.complete()
@@ -137,6 +140,79 @@ fn route_inner(req: &Request, shared: &Shared, index: &ServingIndex) -> Routed {
         Some(cached) => Routed::new(label, conditional(req, cached, index)),
         None => Routed::new(label, not_found(path)),
     }
+}
+
+/// What the observer routes read: the live handles of a running study.
+#[derive(Debug, Clone)]
+pub struct ObsSources {
+    /// The session's telemetry collector (`/metrics`, `/metrics.prom`).
+    pub collector: Arc<Collector>,
+    /// The study's progress counters (`/progress`).
+    pub progress: Arc<ProgressCounters>,
+    /// The sampler's ring (`/timeseries`).
+    pub ring: Arc<SnapshotRing>,
+    /// The live-served index, when the crawl is also served
+    /// (`crawl --serve-addr`): `/progress` then reports its epoch as
+    /// `serve_epoch`, so one endpoint says how far along the crawl is and
+    /// how fresh the served view is.
+    pub index: Option<IndexHandle>,
+}
+
+/// Dispatch one observer request. Every answer is live: explicit
+/// content type, `Cache-Control: no-store`, and a `500` when a body fails
+/// to serialize.
+pub(crate) fn observe(req: &Request, shared: &Shared<ObsSources>) -> Routed {
+    let sources = &shared.source;
+    if req.method != Method::Get {
+        return Routed::new("other", method_not_allowed("GET"));
+    }
+    match req.url.path.as_str() {
+        "/healthz" => Routed::new(
+            "healthz",
+            live(
+                StatusCode::OK,
+                "{\"status\":\"ok\"}".into(),
+                "application/json",
+            ),
+        ),
+        "/progress" => {
+            let body = serde_json::to_value(&sources.progress.snapshot()).and_then(|mut value| {
+                if let (Some(index), serde_json::Value::Object(map)) = (&sources.index, &mut value)
+                {
+                    map.insert(
+                        "serve_epoch".into(),
+                        serde_json::Value::Number(serde_json::Number::U64(index.epoch())),
+                    );
+                }
+                serde_json::to_string_pretty(&value)
+            });
+            Routed::new("progress", live_json("progress", body))
+        }
+        "/metrics" => Routed::new("metrics", metrics_json(&sources.collector)),
+        "/metrics.prom" => Routed::new("metrics", metrics_prom(&sources.collector)),
+        "/timeseries" => {
+            let body = serde_json::to_string(&sources.ring.snapshot())
+                .map(|samples| format!("{{\"schema\":\"cc-obs/v1\",\"samples\":{samples}}}"));
+            Routed::new("timeseries", live_json("timeseries", body))
+        }
+        path => Routed::new("other", not_found(path)),
+    }
+}
+
+/// `/metrics`: `collector`'s run report as JSON.
+fn metrics_json(collector: &Collector) -> Response {
+    live_json("metrics", collector.report(None).to_json())
+}
+
+/// `/metrics.prom`: `collector`'s run report as Prometheus text
+/// exposition.
+fn metrics_prom(collector: &Collector) -> Response {
+    let text = cc_telemetry::render_prometheus(&collector.report(None));
+    live(
+        StatusCode::OK,
+        text,
+        "text/plain; version=0.0.4; charset=utf-8",
+    )
 }
 
 /// `/smugglers?role=dedicated|multi&limit=N`: assembled per request from
@@ -186,6 +262,23 @@ fn live(status: StatusCode, body: String, content_type: &str) -> Response {
     resp.headers.set("content-type", content_type);
     resp.headers.set("cache-control", "no-store");
     resp
+}
+
+/// A live JSON body, or the `500` naming what failed to serialize. A
+/// serialization failure is a real 500, not a 200 with an error body:
+/// scrapers alert on status codes, not on body contents.
+fn live_json(what: &str, body: serde_json::Result<String>) -> Response {
+    match body {
+        Ok(body) => live(StatusCode::OK, body, "application/json"),
+        Err(e) => live(
+            StatusCode::INTERNAL_SERVER_ERROR,
+            format!(
+                "{{\"error\":\"{what} serialization failed\",\"detail\":{}}}",
+                json_string(&e.to_string())
+            ),
+            "application/json",
+        ),
+    }
 }
 
 /// Serve a cached body, honoring `If-None-Match`. Cached responses carry

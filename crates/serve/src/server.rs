@@ -1,6 +1,11 @@
 //! The HTTP/1.1 server: accept loop, bounded queue, worker pool,
 //! backpressure, and graceful shutdown.
 //!
+//! This is the workspace's one HTTP listener. A server answers through
+//! one route table, chosen when it is built: [`Server::start`] serves a
+//! crawl's index, [`Server::observe`] a running study's live readings
+//! (`--obs-addr`). Everything below is the same for both.
+//!
 //! ## Threading model
 //!
 //! One accept thread plus a fixed pool of `workers` threads. The accept
@@ -14,7 +19,7 @@
 //! ## Shutdown
 //!
 //! The crates forbid `unsafe`, so there is no signal handler; shutdown
-//! is a flag flipped by `POST /shutdown` or
+//! is a flag flipped by `POST /shutdown` (an index route) or
 //! [`ServerHandle::shutdown`]. The accept thread then closes the
 //! listener (new connects are refused by the OS), workers finish the
 //! request in flight, answer queued connections with
@@ -35,7 +40,7 @@ use cc_util::CcError;
 
 use crate::handle::{FollowConfig, IndexHandle, IndexSource};
 use crate::publish::IncrementalIndexBuilder;
-use crate::router::{self, Routed};
+use crate::router::{self, ObsSources, Routed};
 
 /// Server knobs (lowered from `StudyConfig.serve` by the CLI).
 #[derive(Debug, Clone)]
@@ -123,9 +128,13 @@ pub struct RequestLogEntry {
     pub duration_us: u64,
 }
 
-/// State shared by the accept thread, the workers, and the handle.
-pub(crate) struct Shared {
-    pub(crate) handle: IndexHandle,
+/// State shared by the accept thread, the workers, and the handle. `S`
+/// is what the route table reads: an [`IndexHandle`] for the index
+/// routes, [`ObsSources`] for the observer's.
+pub(crate) struct Shared<S> {
+    pub(crate) source: S,
+    /// The route table, chosen once when the server is built.
+    route: fn(&Request, &Shared<S>) -> Routed,
     pub(crate) cfg: ServeConfig,
     pub(crate) collector: Arc<Collector>,
     pub(crate) stop: AtomicBool,
@@ -138,7 +147,7 @@ pub(crate) struct Shared {
     queue_cv: Condvar,
 }
 
-impl Shared {
+impl<S> Shared<S> {
     pub(crate) fn request_stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
         self.queue_cv.notify_all();
@@ -192,53 +201,16 @@ impl Server {
                 (IndexHandle::new(initial), Some((fc, builder)))
             }
         };
-
-        let listener =
-            TcpListener::bind(&cfg.addr).map_err(|e| CcError::io(&cfg.addr, e))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| CcError::io(&cfg.addr, e))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| CcError::io(&cfg.addr, e))?;
-
-        let shared = Arc::new(Shared {
-            handle,
-            cfg: cfg.clone(),
-            collector: Arc::new(Collector::default()),
-            stop: AtomicBool::new(false),
-            inflight: AtomicUsize::new(0),
-            request_seq: AtomicU64::new(0),
-            request_log: Mutex::new(Vec::new()),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
-        });
+        let mut server = listen(handle, router::route, cfg)?;
         // Epoch swaps from here on land in this server's RED metrics.
-        shared.handle.attach_collector(Arc::clone(&shared.collector));
-
-        let mut threads = Vec::with_capacity(cfg.workers + 2);
-        {
-            let shared = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("cc-serve-accept".into())
-                    .spawn(move || accept_loop(listener, &shared))
-                    .map_err(|e| CcError::io("spawn accept thread", e))?,
-            );
-        }
-        for i in 0..cfg.workers {
-            let shared = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("cc-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .map_err(|e| CcError::io("spawn worker thread", e))?,
-            );
-        }
+        let shared = &server.shared;
+        shared
+            .source
+            .attach_collector(Arc::clone(&shared.collector));
         if let Some((fc, builder)) = follow {
-            if !shared.handle.current().complete() {
-                let shared = Arc::clone(&shared);
-                threads.push(
+            if !shared.source.current().complete() {
+                let shared = Arc::clone(shared);
+                server.threads.push(
                     std::thread::Builder::new()
                         .name("cc-serve-follow".into())
                         .spawn(move || follow_loop(&shared, fc, builder))
@@ -246,13 +218,73 @@ impl Server {
                 );
             }
         }
-
-        Ok(ServerHandle {
-            addr,
-            shared,
-            threads,
-        })
+        Ok(server)
     }
+
+    /// Serve a running study's live readings (`--obs-addr`) on the same
+    /// listener, workers and shedding as the index routes: `/healthz`,
+    /// `/progress`, `/metrics`, `/metrics.prom` and `/timeseries`.
+    pub fn observe(
+        sources: ObsSources,
+        cfg: ServeConfig,
+    ) -> Result<ServerHandle<ObsSources>, CcError> {
+        cfg.validate()?;
+        listen(sources, router::observe, cfg)
+    }
+}
+
+/// Bind `cfg.addr` and spawn the accept thread and worker pool, which
+/// answer every request through `route`.
+fn listen<S: Send + Sync + 'static>(
+    source: S,
+    route: fn(&Request, &Shared<S>) -> Routed,
+    cfg: ServeConfig,
+) -> Result<ServerHandle<S>, CcError> {
+    let listener = TcpListener::bind(&cfg.addr).map_err(|e| CcError::io(&cfg.addr, e))?;
+    let addr = listener
+        .local_addr()
+        .map_err(|e| CcError::io(&cfg.addr, e))?;
+    listener
+        .set_nonblocking(true)
+        .map_err(|e| CcError::io(&cfg.addr, e))?;
+
+    let shared = Arc::new(Shared {
+        source,
+        route,
+        cfg: cfg.clone(),
+        collector: Arc::new(Collector::default()),
+        stop: AtomicBool::new(false),
+        inflight: AtomicUsize::new(0),
+        request_seq: AtomicU64::new(0),
+        request_log: Mutex::new(Vec::new()),
+        queue: Mutex::new(VecDeque::new()),
+        queue_cv: Condvar::new(),
+    });
+
+    let mut threads = Vec::with_capacity(cfg.workers + 2);
+    {
+        let shared = Arc::clone(&shared);
+        threads.push(
+            std::thread::Builder::new()
+                .name("cc-serve-accept".into())
+                .spawn(move || accept_loop(listener, &shared))
+                .map_err(|e| CcError::io("spawn accept thread", e))?,
+        );
+    }
+    for i in 0..cfg.workers {
+        let shared = Arc::clone(&shared);
+        threads.push(
+            std::thread::Builder::new()
+                .name(format!("cc-serve-worker-{i}"))
+                .spawn(move || worker_loop(&shared))
+                .map_err(|e| CcError::io("spawn worker thread", e))?,
+        );
+    }
+    Ok(ServerHandle {
+        addr,
+        shared,
+        threads,
+    })
 }
 
 /// Wait (bounded by `wait_ms`) for the followed checkpoint file to appear
@@ -288,7 +320,11 @@ fn checkpoint_fingerprint(path: &std::path::Path) -> Option<(u64, std::time::Sys
 /// server shuts down). Fold errors (a config swap under our feet, a
 /// transient read failure) never take the server down — the last good
 /// epoch keeps serving.
-fn follow_loop(shared: &Shared, fc: FollowConfig, mut builder: IncrementalIndexBuilder) {
+fn follow_loop(
+    shared: &Shared<IndexHandle>,
+    fc: FollowConfig,
+    mut builder: IncrementalIndexBuilder,
+) {
     let poll = Duration::from_millis(fc.poll_ms.max(1));
     // No baseline: the file may have grown between the initial fold in
     // `Server::start` and this thread coming up, so the first poll always
@@ -324,7 +360,7 @@ fn follow_loop(shared: &Shared, fc: FollowConfig, mut builder: IncrementalIndexB
             Ok(Some(index)) => {
                 fingerprint = Some(current);
                 let complete = index.complete();
-                shared.handle.publish(index);
+                shared.source.publish(index);
                 if complete {
                     break;
                 }
@@ -347,13 +383,15 @@ fn follow_loop(shared: &Shared, fc: FollowConfig, mut builder: IncrementalIndexB
 }
 
 /// A running server: its bound address, its telemetry, and its lifecycle.
-pub struct ServerHandle {
+/// `S` is what its routes read: an [`IndexHandle`] for a
+/// [`Server::start`] server, [`ObsSources`] for a [`Server::observe`] one.
+pub struct ServerHandle<S = IndexHandle> {
     addr: SocketAddr,
-    shared: Arc<Shared>,
+    shared: Arc<Shared<S>>,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
-impl ServerHandle {
+impl<S> ServerHandle<S> {
     /// The bound address (with the real port when `:0` was requested).
     pub fn addr(&self) -> SocketAddr {
         self.addr
@@ -362,14 +400,6 @@ impl ServerHandle {
     /// Snapshot the server's own telemetry (the `/metrics` payload).
     pub fn metrics(&self) -> RunReport {
         self.shared.collector.report(None)
-    }
-
-    /// The epoch-swappable handle this server reads through. Useful for
-    /// watching a followed crawl advance (epoch/swap counts) or for
-    /// inspecting the currently served snapshot without an HTTP round
-    /// trip.
-    pub fn index_handle(&self) -> IndexHandle {
-        self.shared.handle.clone()
     }
 
     /// Whether shutdown has been requested (by [`Self::shutdown`] or
@@ -395,7 +425,17 @@ impl ServerHandle {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: &Shared) {
+impl ServerHandle {
+    /// The epoch-swappable handle this server reads through. Useful for
+    /// watching a followed crawl advance (epoch/swap counts) or for
+    /// inspecting the currently served snapshot without an HTTP round
+    /// trip.
+    pub fn index_handle(&self) -> IndexHandle {
+        self.shared.source.clone()
+    }
+}
+
+fn accept_loop<S>(listener: TcpListener, shared: &Shared<S>) {
     loop {
         if shared.stop.load(Ordering::SeqCst) {
             break;
@@ -433,7 +473,7 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
 /// Answer an over-capacity connection with `503` and close it. Runs on
 /// the accept thread; the write is a handful of bytes to a
 /// freshly-accepted socket, so it cannot stall the loop meaningfully.
-fn shed(mut stream: TcpStream, shared: &Shared) {
+fn shed<S>(mut stream: TcpStream, shared: &Shared<S>) {
     shared
         .collector
         .add_counter_id(cc_telemetry::CounterId::SERVE_SHED, 1);
@@ -468,7 +508,7 @@ fn lingering_close(stream: &mut TcpStream) {
     }
 }
 
-fn worker_loop(shared: &Shared) {
+fn worker_loop<S>(shared: &Shared<S>) {
     // This worker's private telemetry shard: per-request counters and
     // latency observations stay thread-local for the server's lifetime
     // and drain into the shared collector when the worker exits. Live
@@ -501,7 +541,7 @@ fn worker_loop(shared: &Shared) {
 }
 
 /// Serve one connection's full keep-alive session.
-fn handle_connection(stream: TcpStream, shared: &Shared) {
+fn handle_connection<S>(stream: TcpStream, shared: &Shared<S>) {
     shared.inflight.fetch_add(1, Ordering::SeqCst);
     shared.collector.set_gauge_id(
         cc_telemetry::GaugeId::SERVE_INFLIGHT,
@@ -518,7 +558,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     );
 }
 
-fn serve_session(stream: TcpStream, shared: &Shared) {
+fn serve_session<S>(stream: TcpStream, shared: &Shared<S>) {
     let keep_alive = Duration::from_millis(shared.cfg.keep_alive_ms);
     if stream.set_read_timeout(Some(keep_alive)).is_err()
         || stream.set_write_timeout(Some(keep_alive)).is_err()
@@ -543,7 +583,7 @@ fn serve_session(stream: TcpStream, shared: &Shared) {
                     label,
                     mut response,
                     shutdown,
-                } = router::route(&req, shared);
+                } = (shared.route)(&req, shared);
                 // Close after this response if the client asked to, or if
                 // we are draining (stop requested or triggered right now).
                 let close = shutdown
@@ -595,8 +635,8 @@ fn serve_session(stream: TcpStream, shared: &Shared) {
 /// Per-request accounting: the RED triple (rate via `serve.requests`,
 /// errors via per-status-class events, duration via the latency
 /// histograms), plus the deterministic head-sampled request log.
-fn record_request(
-    shared: &Shared,
+fn record_request<S>(
+    shared: &Shared<S>,
     label: &'static str,
     req: &Request,
     response: &Response,
@@ -655,7 +695,7 @@ pub(crate) fn json_string(s: &str) -> String {
     serde_json::to_string(s).unwrap_or_else(|_| "\"error\"".into())
 }
 
-impl std::fmt::Debug for ServerHandle {
+impl<S> std::fmt::Debug for ServerHandle<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerHandle")
             .field("addr", &self.addr)

@@ -1,18 +1,21 @@
 //! End-to-end server tests over real loopback sockets: endpoint
 //! behavior, ETag revalidation, byte-identity with the offline report,
-//! and the satellite coverage for graceful shutdown (in-flight
-//! connections complete, new connects refused) and overload (503 + shed
-//! counter, never a hang).
+//! graceful shutdown (in-flight connections complete, new connects
+//! refused), overload (503 + shed counter, never a hang), and the
+//! observer routes (`--obs-addr`) on the same listener.
 
-use std::io::BufReader;
+use std::io::{BufReader, Write as _};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use cc_crawler::{CrawlConfig, Walker};
 use cc_http::wire::WireError;
 use cc_http::{Method, Request, Response};
-use cc_serve::{ServeConfig, Server, ServerHandle, ServingIndex};
+use cc_serve::{ObsSources, ServeConfig, Server, ServerHandle, ServingIndex};
+use cc_telemetry::{Collector, SnapshotRing};
 use cc_url::Url;
+use cc_util::{ProgressCounters, ProgressSnapshot};
 use cc_web::{generate, WebConfig};
 
 fn small_study() -> (cc_web::SimWeb, cc_crawler::CrawlDataset, cc_core::pipeline::PipelineOutput) {
@@ -36,6 +39,21 @@ fn start(cfg: ServeConfig) -> ServerHandle {
     let (web, ds, out) = small_study();
     let index = ServingIndex::build(&web, &ds, &out).unwrap();
     Server::start(index, cfg).unwrap()
+}
+
+/// Fresh observer sources over two progress slots, with no served index.
+fn obs_sources() -> ObsSources {
+    ObsSources {
+        collector: Arc::new(Collector::default()),
+        progress: Arc::new(ProgressCounters::new(2)),
+        ring: Arc::new(SnapshotRing::new(64)),
+        index: None,
+    }
+}
+
+/// An observer over `sources` (the test keeps clones of its handles).
+fn observe(sources: &ObsSources) -> ServerHandle<ObsSources> {
+    Server::observe(sources.clone(), ServeConfig::default()).unwrap()
 }
 
 /// A tiny blocking test client over the wire codecs.
@@ -341,44 +359,45 @@ fn overload_sheds_503_and_counts_never_hangs() {
 #[test]
 fn malformed_requests_get_mapped_statuses() {
     let handle = start(ServeConfig::default());
-    let addr = handle.addr();
+    let observer = observe(&obs_sources());
 
-    // Oversized header line → 431.
-    {
-        let stream = TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut w = stream;
-        use std::io::Write as _;
-        let huge = "x".repeat(9000);
-        write!(w, "GET /healthz HTTP/1.1\r\nhost: a\r\nbig: {huge}\r\n\r\n").unwrap();
-        let resp = Response::read_from(&mut reader).unwrap();
-        assert_eq!(resp.status.0, 431);
-    }
+    for addr in [handle.addr(), observer.addr()] {
+        // Oversized header line → 431.
+        {
+            let stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut w = stream;
+            let huge = "x".repeat(9000);
+            write!(w, "GET /healthz HTTP/1.1\r\nhost: a\r\nbig: {huge}\r\n\r\n").unwrap();
+            let resp = Response::read_from(&mut reader).unwrap();
+            assert_eq!(resp.status.0, 431);
+        }
 
-    // Unsupported method → 405 with a close.
-    {
-        let stream = TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut w = stream;
-        use std::io::Write as _;
-        write!(w, "DELETE /report HTTP/1.1\r\nhost: a\r\n\r\n").unwrap();
-        let resp = Response::read_from(&mut reader).unwrap();
-        assert_eq!(resp.status.0, 405);
-        assert_eq!(resp.headers.get("connection"), Some("close"));
-        // And the server closed the connection after answering.
-        assert_eq!(
-            Response::read_from(&mut reader).unwrap_err(),
-            WireError::Closed
-        );
+        // Unsupported method → 405 with a close.
+        {
+            let stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut w = stream;
+            write!(w, "DELETE /report HTTP/1.1\r\nhost: a\r\n\r\n").unwrap();
+            let resp = Response::read_from(&mut reader).unwrap();
+            assert_eq!(resp.status.0, 405);
+            assert_eq!(resp.headers.get("connection"), Some("close"));
+            // And the server closed the connection after answering.
+            assert_eq!(
+                Response::read_from(&mut reader).unwrap_err(),
+                WireError::Closed
+            );
+        }
     }
 
     handle.shutdown();
+    observer.shutdown();
 }
 
 #[test]
@@ -390,7 +409,8 @@ fn invalid_config_is_rejected() {
         max_inflight: 2,
         ..ServeConfig::default()
     };
-    assert!(Server::start(index, bad).is_err());
+    assert!(Server::start(index, bad.clone()).is_err());
+    assert!(Server::observe(obs_sources(), bad).is_err());
 }
 
 #[test]
@@ -781,4 +801,189 @@ fn request_log_head_sampling_is_bounded_and_deterministic() {
             .collect()
     };
     assert_eq!(routes(&body), routes(&run()));
+}
+
+#[test]
+fn observer_serves_every_endpoint_with_hygiene_headers() {
+    let sources = obs_sources();
+    sources.collector.add_counter("crawl.walks", 7);
+    sources.collector.set_gauge("serve.inflight", 3.0);
+    sources.collector.observe_ms("serve.latency", 12.5);
+    sources.progress.record_walk(0, 4);
+    sources.ring.push(cc_obs::take_sample(
+        0.5,
+        &sources.collector,
+        &sources.progress,
+    ));
+
+    let observer = observe(&sources);
+    let mut client = TestClient::connect(observer.addr());
+    for path in ["/healthz", "/progress", "/metrics", "/timeseries"] {
+        let resp = client.get(path);
+        assert_eq!(resp.status.0, 200, "{path}");
+        assert_eq!(
+            resp.headers.get("content-type"),
+            Some("application/json"),
+            "{path}"
+        );
+        assert_eq!(
+            resp.headers.get("cache-control"),
+            Some("no-store"),
+            "{path}"
+        );
+    }
+
+    let prom = client.get("/metrics.prom");
+    assert_eq!(prom.status.0, 200);
+    assert_eq!(
+        prom.headers.get("content-type"),
+        Some("text/plain; version=0.0.4; charset=utf-8")
+    );
+    assert_eq!(prom.headers.get("cache-control"), Some("no-store"));
+    let text = TestClient::body_str(&prom);
+    let stats = cc_telemetry::parse_exposition(&text).expect("valid exposition");
+    assert!(stats.families > 0 && stats.samples > 0);
+    // The exposition is the session's collector, not the listener's own
+    // request accounting.
+    assert!(text.contains("crawl.walks"), "{text}");
+    assert!(!text.contains("serve.requests"), "{text}");
+
+    // Five requests on one keep-alive connection, counted by the listener.
+    let metrics = observer.shutdown();
+    assert_eq!(metrics.deterministic.counters["serve.requests"], 5);
+    assert_eq!(metrics.deterministic.counters["serve.sessions"], 1);
+}
+
+#[test]
+fn progress_endpoint_tracks_live_counters() {
+    let sources = obs_sources();
+    let observer = observe(&sources);
+    let mut client = TestClient::connect(observer.addr());
+    let progress = |client: &mut TestClient| -> serde_json::Value {
+        serde_json::from_str(&TestClient::body_str(&client.get("/progress"))).unwrap()
+    };
+
+    let before: ProgressSnapshot = serde_json::from_value(progress(&mut client)).unwrap();
+    assert_eq!(before.walks, 0);
+
+    sources.progress.record_walk(0, 5);
+    sources.progress.record_walk(1, 3);
+
+    let after = progress(&mut client);
+    assert!(
+        after.as_object().unwrap().get("serve_epoch").is_none(),
+        "no served index, no epoch"
+    );
+    let after: ProgressSnapshot = serde_json::from_value(after).unwrap();
+    assert_eq!(after.walks, 2);
+    assert_eq!(after.steps, 8);
+    assert_eq!(after.per_worker.len(), 2);
+    assert!(after.walks >= before.walks && after.steps >= before.steps);
+    observer.shutdown();
+
+    // A crawl that is also served live reports the served epoch beside
+    // its progress, and the epoch moves with the index handle.
+    let study = cc_crawler::StudyConfig::builder()
+        .web(WebConfig::small())
+        .seed(5)
+        .build()
+        .unwrap();
+    let index = cc_serve::IndexHandle::new(
+        cc_serve::IncrementalIndexBuilder::new(&study)
+            .warming()
+            .unwrap(),
+    );
+    let observer = observe(&ObsSources {
+        index: Some(index.clone()),
+        ..sources
+    });
+    let mut client = TestClient::connect(observer.addr());
+    let epoch = |v: serde_json::Value| {
+        v.as_object()
+            .and_then(|o| o.get("serve_epoch"))
+            .and_then(|e| e.as_u64())
+    };
+    assert_eq!(epoch(progress(&mut client)), Some(0));
+    let (web, ds, out) = small_study();
+    index.publish(ServingIndex::build(&web, &ds, &out).unwrap());
+    let served = progress(&mut client);
+    assert_eq!(epoch(served.clone()), Some(1));
+    let served: ProgressSnapshot = serde_json::from_value(served).unwrap();
+    assert_eq!(served.walks, 2);
+    observer.shutdown();
+}
+
+#[test]
+fn timeseries_reflects_ring_contents() {
+    let sources = obs_sources();
+    sources.progress.record_walk(0, 2);
+    sources.collector.set_gauge("serve.inflight", 9.0);
+    for i in 0..3 {
+        sources.ring.push(cc_obs::take_sample(
+            i as f64,
+            &sources.collector,
+            &sources.progress,
+        ));
+    }
+    let observer = observe(&sources);
+    let body = TestClient::body_str(&TestClient::connect(observer.addr()).get("/timeseries"));
+    let v: serde_json::Value = serde_json::from_str(&body).unwrap();
+    let obj = v.as_object().unwrap();
+    assert_eq!(
+        obj.get("schema").and_then(|s| s.as_str()),
+        Some("cc-obs/v1")
+    );
+    let samples = obj.get("samples").and_then(|s| s.as_array()).unwrap();
+    assert_eq!(samples.len(), 3);
+    let last = samples[2].as_object().unwrap();
+    assert_eq!(last.get("inflight").and_then(|x| x.as_f64()), Some(9.0));
+    assert_eq!(last.get("walks").and_then(|x| x.as_f64()), Some(1.0));
+    observer.shutdown();
+}
+
+#[test]
+fn observer_answers_only_its_own_routes() {
+    let observer = observe(&obs_sources());
+    let mut client = TestClient::connect(observer.addr());
+    // The index routes are not the observer's.
+    for path in ["/nope", "/report", "/logs"] {
+        let resp = client.get(path);
+        assert_eq!(resp.status.0, 404, "{path}");
+        assert!(TestClient::body_str(&resp).contains(path), "{path}");
+    }
+
+    let mut post = client.request("/progress");
+    post.method = Method::Post;
+    let resp = client.send(&post);
+    assert_eq!(resp.status.0, 405);
+    assert_eq!(resp.headers.get("content-type"), Some("application/json"));
+
+    // Nor does it stop on the index server's shutdown request.
+    let mut shutdown = client.request("/shutdown");
+    shutdown.method = Method::Post;
+    assert_eq!(client.send(&shutdown).status.0, 405);
+    assert!(!observer.stop_requested());
+    assert_eq!(client.get("/healthz").status.0, 200);
+    observer.shutdown();
+}
+
+/// A client that sends half a request and stalls holds one worker for
+/// its read timeout, never the observer: a second client is answered at
+/// once.
+#[test]
+fn a_stalled_client_cannot_hold_the_observer() {
+    let observer = observe(&obs_sources());
+    let mut stalled = TcpStream::connect(observer.addr()).unwrap();
+    stalled.write_all(b"GET /healthz HTTP/1.1\r\nHo").unwrap();
+
+    let started = Instant::now();
+    let resp = TestClient::connect(observer.addr()).get("/healthz");
+    let waited = started.elapsed();
+    assert_eq!(resp.status.0, 200);
+    assert!(
+        waited < Duration::from_millis(500),
+        "a stalled client held /healthz for {waited:?}"
+    );
+    drop(stalled);
+    observer.shutdown();
 }

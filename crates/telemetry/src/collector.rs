@@ -512,8 +512,8 @@ impl Session {
         &self.collector
     }
 
-    /// A shareable handle to the session's collector — what a live
-    /// observer thread holds to serve `/metrics` while the session runs.
+    /// A shareable handle to the session's collector — what the live
+    /// observer holds to serve `/metrics` while the session runs.
     /// The handle stays readable after the session ends (recording stops,
     /// the data remains).
     pub fn shared_collector(&self) -> Arc<Collector> {

@@ -7,7 +7,8 @@
 //! recent window at full resolution.
 //!
 //! Samples are plain serde structs: the HTML dashboard inlines them as a
-//! JSON block, and `/timeseries` on the observer serves them live.
+//! JSON block, and `/timeseries` on the observer (cc-serve's observer
+//! routes) serves them live.
 
 use std::collections::VecDeque;
 

@@ -136,7 +136,8 @@ fn rate(count: u64, elapsed_secs: f64) -> f64 {
 }
 
 /// Point-in-time progress reading. Serializable because the live
-/// observer (`cc-obs`) serves it as the `/progress` JSON body.
+/// observer (cc-serve's observer routes, `--obs-addr`) serves it as the
+/// `/progress` JSON body.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ProgressSnapshot {
     /// Walks finished so far.

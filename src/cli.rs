@@ -83,7 +83,7 @@ pub struct Cli {
     /// format instead of the command's normal output.
     pub prom: bool,
     /// Serve `/progress`, `/metrics`, `/metrics.prom`, and `/timeseries`
-    /// from a background observer thread while the study runs.
+    /// from an observer (cc-serve's listener) while the study runs.
     pub obs_addr: Option<String>,
     /// Write the observer's bound address (with the real port) here.
     pub obs_addr_file: Option<String>,
@@ -117,7 +117,7 @@ pub struct Cli {
     pub duration_requests: Option<usize>,
     /// `loadgen`: task-mix name.
     pub mix: Option<String>,
-    /// `loadgen`: write the load report (`BENCH_serve.json`) here.
+    /// `loadgen`: write the `cc-loadgen/v1` load report here.
     pub bench_out: Option<String>,
     /// `gaggle`: which side of the wire this invocation is.
     pub gaggle_role: Option<GaggleRole>,
@@ -368,7 +368,7 @@ const SECTIONS: &[(&str, &[Flag])] = &[("OPTIONS", &[
             Some(_) => set(&mut c.mix, Some(v.into())),
             None => Err(format!("unknown mix {v:?} (expected {:?})", cc_loadgen::TaskMix::NAMES)),
         }),
-    flag("--bench-out", "PATH", LOADGEN, "write the load report JSON (BENCH_serve.json shape)",
+    flag("--bench-out", "PATH", LOADGEN, "write the cc-loadgen/v1 load report JSON",
         |c, v| set(&mut c.bench_out, Some(v.into()))),
 ]), ("TELEMETRY", &[
     flag(OUT, "PATH", CRAWL | BLOCKLIST | MANAGER, "output file: the dataset JSON, or the \
@@ -384,10 +384,11 @@ const SECTIONS: &[(&str, &[Flag])] = &[("OPTIONS", &[
     flag("--prom", "", RUN, "print the telemetry run report in Prometheus text exposition format \
         instead of the command's output (a scrape-able summary)", |c, _| set(&mut c.prom, true)),
 ]), ("OBSERVABILITY (watch the run while it goes)", &[
-    flag(OBS_ADDR, "HOST:PORT", RUN, "serve live observability over HTTP from a background \
-        thread during the study: /progress (per-worker walk counts), /metrics (run report \
-        JSON), /metrics.prom (Prometheus exposition), /timeseries (snapshot ring). \
-        Observation-only: results are byte-identical with it on or off",
+    flag(OBS_ADDR, "HOST:PORT", RUN, "serve live observability over HTTP during the study, \
+        with the serve workers, keep-alive and shedding of the study's serve policy: \
+        /progress (per-worker walk counts), /metrics (run report JSON), /metrics.prom \
+        (Prometheus exposition), /timeseries (snapshot ring). Observation-only: results \
+        are byte-identical with it on or off",
         |c, v| set(&mut c.obs_addr, Some(v.into()))),
     flag("--obs-addr-file", "PATH", RUN, "write the observer's bound address (with the real \
         port) to PATH", |c, v| set(&mut c.obs_addr_file, Some(v.into()))).needs(OBS_ADDR),
@@ -755,42 +756,51 @@ pub fn run(cli: &Cli) -> Result<String, CcError> {
     // The observability plane: caller-owned progress counters shared with
     // the crawl (one slot per executor thread, or per remote gaggle worker
     // modulo the expected count), a bounded snapshot ring, a periodic
-    // sampler, and the HTTP observer thread. All strictly
-    // observation-only — the crawl result is byte-identical with every
-    // piece on or off.
+    // sampler, and the observer routes on cc-serve's listener. All
+    // strictly observation-only — the crawl result is byte-identical with
+    // every piece on or off.
     let slots = gaggle
         .as_ref()
         .map_or(cli.study.workers, |g| g.workers_expected.max(1));
     let progress = Arc::new(ProgressCounters::new(slots));
+    // 250 ms samples × 2,400 = a 10-minute window, plenty for any test
+    // crawl and bounded (~55KB of samples) for a long one.
     let ring = Arc::new(cc_telemetry::SnapshotRing::new(2_400));
+    // A session exists whenever an observer or a dashboard is asked for.
     let collector = session.as_ref().map(|s| s.shared_collector());
-    let obs_started = std::time::Instant::now();
-    let observer = match cli.obs_addr.as_deref() {
-        Some(addr) => {
-            let sources = cc_obs::ObsSources {
-                collector: collector.clone(),
-                progress: Some(Arc::clone(&progress)),
-                ring: Some(Arc::clone(&ring)),
-                epoch: live.as_ref().map(|(_, _, handle)| handle.epoch_cell()),
+    let observer = match (cli.obs_addr.as_deref(), &collector) {
+        (Some(addr), Some(collector)) => {
+            let sources = cc_serve::ObsSources {
+                collector: Arc::clone(collector),
+                progress: Arc::clone(&progress),
+                ring: Arc::clone(&ring),
+                index: live.as_ref().map(|(_, _, handle)| handle.clone()),
             };
-            let handle = cc_obs::Observer::start(addr, sources)?;
+            let cfg = cc_serve::ServeConfig {
+                addr: addr.to_string(),
+                ..(&cli.study.serve).into()
+            };
+            let handle = cc_serve::Server::observe(sources, cfg)?;
             if let Some(path) = cli.obs_addr_file.as_deref() {
-                std::fs::write(path, handle.addr().to_string())
-                    .map_err(|e| CcError::io(path, e))?;
+                if let Err(e) = std::fs::write(path, handle.addr().to_string()) {
+                    handle.shutdown();
+                    return Err(CcError::io(path, e));
+                }
             }
             Some(handle)
         }
-        None => None,
+        _ => None,
     };
-    let sampler = if observer.is_some() || cli.dashboard_out.is_some() {
-        Some(cc_obs::Sampler::start(
-            cc_obs::SamplerConfig::default(),
-            Arc::clone(&ring),
-            collector.clone(),
-            Some(Arc::clone(&progress)),
-        ))
-    } else {
-        None
+    let sampler = match collector {
+        Some(collector) if observer.is_some() || cli.dashboard_out.is_some() => {
+            Some(cc_obs::Sampler::start(
+                cc_obs::SamplerConfig::default(),
+                Arc::clone(&ring),
+                collector,
+                Arc::clone(&progress),
+            ))
+        }
+        _ => None,
     };
 
     // The dataset producer. The pipeline runs only for the commands that
@@ -821,10 +831,14 @@ pub fn run(cli: &Cli) -> Result<String, CcError> {
     let produced = match produced {
         Ok(produced) => produced,
         Err(e) => {
-            // A failed crawl must not leave a half-warm server running.
+            // A failed crawl must not leave a half-warm server running,
+            // nor an observer.
             if let Some((server, publisher, _)) = live {
                 let _ = publisher.finish();
                 server.shutdown();
+            }
+            if let Some(o) = observer {
+                o.shutdown();
             }
             return Err(e);
         }
@@ -844,15 +858,10 @@ pub fn run(cli: &Cli) -> Result<String, CcError> {
 
     let mut result = execute(cli, produced);
 
-    // Wind the plane down: one final sample so the dashboard's last point
-    // reflects the finished run, then stop the sampler and observer.
-    if sampler.is_some() {
-        ring.push(cc_obs::take_sample(
-            obs_started.elapsed().as_secs_f64(),
-            collector.as_deref(),
-            Some(&progress),
-        ));
-    }
+    // Wind the plane down: the sampler's shutdown sample is the
+    // dashboard's last point, and counts the finished run. The observer
+    // drains its connections, so an idle keep-alive client can hold the
+    // exit for up to `keep_alive_ms`.
     if let Some(s) = sampler {
         s.shutdown();
     }

@@ -15,7 +15,8 @@
 //! * [`core`] — the analysis pipeline ([`cc_core`]);
 //! * [`analysis`] — tables and figures ([`cc_analysis`]);
 //! * [`defense`] — the §7 countermeasures ([`cc_defense`]);
-//! * [`obs`] — the live observability plane ([`cc_obs`]);
+//! * [`obs`] — the observability plane's sampler and dashboard
+//!   ([`cc_obs`]);
 //! * [`serve`] — the HTTP query/serving layer ([`cc_serve`]);
 //! * [`loadgen`] — the goose-style load generator ([`cc_loadgen`]);
 //! * plus the low-level substrates [`url`], [`net`], [`http`], [`util`].
@@ -186,7 +187,7 @@ impl Study {
 ///
 /// * [`StudyBuilder::progress`] — count into caller-owned
 ///   [`ProgressCounters`] (the observability hook: hand clones of the
-///   same counters to a cc-obs observer and watch the crawl live);
+///   same counters to a cc-serve observer and watch the crawl live);
 /// * [`StudyBuilder::resume`] / [`StudyBuilder::stop_after`] —
 ///   checkpoint/resume and deterministic graceful drain;
 /// * [`StudyBuilder::index_publisher`] — publish in-memory crawl

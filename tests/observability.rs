@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use crumbcruncher::cli::{parse, run};
 use crumbcruncher::crawler::CrawlDataset;
 use crumbcruncher::http::{Request, Response};
-use crumbcruncher::telemetry::{parse_exposition, RunReport};
+use crumbcruncher::telemetry::{parse_exposition, ObsSample, RunReport};
 use crumbcruncher::url::Url;
 use crumbcruncher::util::ProgressSnapshot;
 
@@ -35,8 +35,8 @@ fn argv(s: &str) -> Vec<String> {
     s.split_whitespace().map(str::to_string).collect()
 }
 
-/// One GET per connection (the observer answers `Connection: close`).
-/// `None` when the observer is not (or no longer) reachable.
+/// One GET per connection, closed once its response is read. `None`
+/// when the observer is not (or no longer) reachable.
 fn get(addr: &str, path: &str) -> Option<Response> {
     let stream = TcpStream::connect(addr).ok()?;
     stream.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
@@ -182,6 +182,29 @@ fn observed_crawl_is_byte_identical_and_live_while_it_runs() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A run that fails after its observer bound (here: the address file
+/// cannot be written) stops the observer before it returns.
+#[test]
+fn a_failed_run_leaves_no_observer_behind() {
+    let _exclusive = exclusive();
+    let addr = {
+        let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        probe.local_addr().unwrap().to_string()
+    };
+    let unwritable = std::env::temp_dir().join("ccrs-obs-no-such-dir/addr.txt");
+    let mut cli = parse(&argv(&format!(
+        "truth --seed 3 --steps 2 --walks 2 --obs-addr {addr} --obs-addr-file {}",
+        unwritable.display()
+    )))
+    .unwrap();
+    cli.study.web = crumbcruncher::web::WebConfig::small();
+    assert!(run(&cli).is_err(), "an unwritable --obs-addr-file must fail the run");
+    assert!(
+        get(&addr, "/healthz").is_none(),
+        "observer outlived the failed run"
+    );
+}
+
 #[test]
 fn prom_flag_renders_the_run_report_as_exposition() {
     let _exclusive = exclusive();
@@ -219,6 +242,25 @@ fn dashboard_out_works_without_an_observer() {
     // Even a sub-interval run has charts: the final sample is pushed at
     // shutdown, so the ring is never empty.
     assert!(html.contains("<svg"), "no charts in a fast run's dashboard");
+    // The data block's samples run on one clock, and the last one is
+    // taken after the crawl, so it counts every walk.
+    let tag = "id=\"cc-obs-data\">";
+    let start = html.find(tag).expect("data block") + tag.len();
+    let end = start + html[start..].find("</script>").expect("data block end");
+    let data: serde_json::Value =
+        serde_json::from_str(&html[start..end].replace("<\\/", "</")).unwrap();
+    let samples: Vec<ObsSample> = serde_json::from_value(
+        data.as_object()
+            .and_then(|o| o.get("samples"))
+            .unwrap()
+            .clone(),
+    )
+    .unwrap();
+    assert!(
+        samples.windows(2).all(|w| w[1].t_s >= w[0].t_s),
+        "sample times went backwards: {samples:?}"
+    );
+    assert_eq!(samples.last().unwrap().walks, 8, "{samples:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
