@@ -123,7 +123,7 @@ fn finding_tracker(f: &UidFinding, truth: &cc_web::TruthLog) -> Option<TrackerId
 }
 
 /// Build the species-evasion matrix from a crawl's pipeline output and the
-/// world's ground-truth ledger.
+/// world's ground-truth ledger, read in place.
 pub fn species_evasion(web: &SimWeb, output: &PipelineOutput) -> SpeciesEvasion {
     let species_trackers: Vec<&cc_web::Tracker> = web
         .trackers
@@ -134,8 +134,17 @@ pub fn species_evasion(web: &SimWeb, output: &PipelineOutput) -> SpeciesEvasion 
         return SpeciesEvasion::default();
     }
     let _span = cc_telemetry::span("report.species");
-    let truth = web.truth_snapshot();
-    let by_tracker = score_by_tracker(&output.groups, &truth);
+    web.with_truth(|truth| species_rows(web, &species_trackers, output, truth))
+}
+
+/// The matrix's rows, one per species present in the world.
+fn species_rows(
+    web: &SimWeb,
+    species_trackers: &[&cc_web::Tracker],
+    output: &PipelineOutput,
+    truth: &cc_web::TruthLog,
+) -> SpeciesEvasion {
+    let by_tracker = score_by_tracker(&output.groups, truth);
     let kind_of: BTreeMap<TrackerId, TrackerKind> =
         web.trackers.iter().map(|t| (t.id, t.kind)).collect();
 
@@ -189,7 +198,7 @@ pub fn species_evasion(web: &SimWeb, output: &PipelineOutput) -> SpeciesEvasion 
             .findings
             .iter()
             .filter(|f| {
-                finding_tracker(f, &truth)
+                finding_tracker(f, truth)
                     .and_then(|tid| kind_of.get(&tid))
                     .is_some_and(|k| *k == kind)
             })

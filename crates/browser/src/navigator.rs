@@ -18,7 +18,7 @@ use cc_net::{
 use cc_url::Url;
 use cc_util::{CcError, DetRng, IStr};
 use cc_web::server::{LoadedPage, ServeCtx, ServeError};
-use cc_web::{ScriptHost, SimWeb, StorageKind};
+use cc_web::{ScriptHost, SimWeb, StorageKind, TokenTruth, TruthLog};
 use serde::{Deserialize, Serialize};
 
 use crate::profile::Profile;
@@ -185,7 +185,13 @@ impl<'w> Browser<'w> {
 
     /// Navigate to a URL, following all redirects, and render the final
     /// page. Every hop is logged; cookies flow per the storage policy.
-    pub fn navigate(&mut self, url: Url) -> Result<NavigationOutcome, NavError> {
+    /// The ground truth of every value the hops and the page's scripts
+    /// mint is noted in `truth`, the caller's walk-local ledger.
+    pub fn navigate(
+        &mut self,
+        url: Url,
+        truth: &mut TruthLog,
+    ) -> Result<NavigationOutcome, NavError> {
         let _nav_span = cc_telemetry::span("browser.navigate");
         let mut hops = Vec::new();
         let mut current = url;
@@ -229,6 +235,7 @@ impl<'w> Browser<'w> {
             let mut ctx = ServeCtx {
                 rng: &mut self.profile.rng,
                 now,
+                truth,
             };
             let resp = match self.web.serve(&req, &mut ctx) {
                 Ok(r) => r,
@@ -251,7 +258,7 @@ impl<'w> Browser<'w> {
                 }
                 None => {
                     // Arrived: render the page.
-                    let page = self.render(&current)?;
+                    let page = self.render(&current, truth)?;
                     self.clock.advance(LatencyModel::page_dwell());
                     cc_telemetry::counter_id(
                         cc_telemetry::CounterId::BROWSER_NAVIGATIONS_COMPLETED,
@@ -280,7 +287,7 @@ impl<'w> Browser<'w> {
     }
 
     /// Render the page at `url`: run scripts, log beacons.
-    fn render(&mut self, url: &Url) -> Result<LoadedPage, NavError> {
+    fn render(&mut self, url: &Url, truth: &mut TruthLog) -> Result<LoadedPage, NavError> {
         let _render_span = cc_telemetry::span("browser.render");
         let now = self.clock.now();
         let partition = url.registered_domain_interned();
@@ -292,6 +299,7 @@ impl<'w> Browser<'w> {
             fingerprint: self.profile.fingerprint,
             now,
             beacons: Vec::new(),
+            truth,
         };
         let page = match self.web.load_page(url, &mut host) {
             Ok(p) => p,
@@ -370,6 +378,7 @@ struct PageHost<'a> {
     fingerprint: u64,
     now: SimTime,
     beacons: Vec<Url>,
+    truth: &'a mut TruthLog,
 }
 
 impl ScriptHost for PageHost<'_> {
@@ -453,6 +462,10 @@ impl ScriptHost for PageHost<'_> {
     fn now(&self) -> SimTime {
         self.now
     }
+
+    fn note_truth(&mut self, value: &str, truth: TokenTruth) {
+        self.truth.note(value, truth);
+    }
 }
 
 #[cfg(test)]
@@ -477,7 +490,7 @@ mod tests {
         let web = generate(&WebConfig::small());
         let mut b = make_browser(&web, 1);
         let seed_url = web.seeder_urls()[0].clone();
-        let out = b.navigate(seed_url.clone()).unwrap();
+        let out = b.navigate(seed_url.clone(), &mut TruthLog::new()).unwrap();
         assert_eq!(out.final_url, seed_url);
         assert_eq!(out.hops.len(), 1);
         assert!(!b.request_log.is_empty());
@@ -498,7 +511,7 @@ mod tests {
         });
         let clickable = web.seeder_urls().iter().find_map(|seed_url| {
             let mut b = make_browser(&web, 3);
-            let out = b.navigate(seed_url.clone()).unwrap();
+            let out = b.navigate(seed_url.clone(), &mut TruthLog::new()).unwrap();
             let click = out.page.elements.iter().find_map(|e| {
                 if e.kind == ElementKind::Iframe {
                     match &e.target {
@@ -513,7 +526,7 @@ mod tests {
         });
         let (mut b, click_url) =
             clickable.expect("world seed 0xAD5EED always yields a clickable ad iframe");
-        let out2 = b.navigate(click_url).unwrap();
+        let out2 = b.navigate(click_url, &mut TruthLog::new()).unwrap();
         // The navigation log contains every hop of the chain.
         assert!(!out2.hops.is_empty());
         assert!(web.site_for_host(out2.final_url.host.as_str()).is_some());
@@ -524,7 +537,10 @@ mod tests {
         let web = generate(&WebConfig::small());
         let mut b = make_browser(&web, 5);
         let err = b
-            .navigate(Url::parse("https://not-in-world.com/").unwrap())
+            .navigate(
+                Url::parse("https://not-in-world.com/").unwrap(),
+                &mut TruthLog::new(),
+            )
             .unwrap_err();
         assert!(matches!(err, NavError::Dns(_)));
     }
@@ -534,7 +550,9 @@ mod tests {
         let web = generate(&WebConfig::small());
         let mut b = make_browser(&web, 7);
         b.fault = FaultModel::new(DetRng::new(1), 1.0);
-        let err = b.navigate(web.seeder_urls()[0].clone()).unwrap_err();
+        let err = b
+            .navigate(web.seeder_urls()[0].clone(), &mut TruthLog::new())
+            .unwrap_err();
         assert!(matches!(err, NavError::Net(_)));
     }
 
@@ -565,7 +583,8 @@ mod tests {
             fault,
         )
         .with_fault_tolerance(retry, BreakerPolicy::disabled(), DetRng::new(31).fork("rj"));
-        b.navigate(seed).expect("retry should outlast the outage");
+        b.navigate(seed, &mut TruthLog::new())
+            .expect("retry should outlast the outage");
         assert_eq!(b.recovery.recovered, 1);
         assert!(b.recovery.retries >= 1);
         assert_eq!(b.recovery.exhausted, 0);
@@ -597,7 +616,7 @@ mod tests {
             fault,
         )
         .with_fault_tolerance(retry, BreakerPolicy::standard(), DetRng::new(37).fork("rj"));
-        let err = b.navigate(seed).unwrap_err();
+        let err = b.navigate(seed, &mut TruthLog::new()).unwrap_err();
         // Three failures trip the breaker; the fourth attempt fails fast.
         assert!(matches!(err, NavError::BreakerOpen { .. }), "{err}");
         assert_eq!(b.recovery.breaker_trips, 1);
@@ -609,9 +628,18 @@ mod tests {
     fn storage_accumulates_and_resets() {
         let web = generate(&WebConfig::small());
         let mut b = make_browser(&web, 9);
-        b.navigate(web.seeder_urls()[0].clone()).unwrap();
-        // Analytics trackers mint partition UIDs on every page.
+        let mut truth = TruthLog::new();
+        b.navigate(web.seeder_urls()[0].clone(), &mut truth)
+            .unwrap();
+        // Analytics trackers mint partition UIDs on every page, and
+        // their ground truth lands in the caller's ledger.
         assert!(!b.storage.is_empty());
+        assert!(truth.uid_count() > 0);
+        assert_eq!(
+            web.truth_snapshot(),
+            generate(&WebConfig::small()).truth_snapshot(),
+            "a mint reached the world's ledger"
+        );
         b.reset_for_new_walk();
         assert!(b.storage.is_empty());
         assert!(b.request_log.is_empty());
@@ -622,14 +650,14 @@ mod tests {
         let web = generate(&WebConfig::small());
         let mut s1 = make_browser(&web, 11);
         let seed = web.seeder_urls()[0].clone();
-        s1.navigate(seed.clone()).unwrap();
+        s1.navigate(seed.clone(), &mut TruthLog::new()).unwrap();
         let domain = seed.registered_domain();
         let snap1 = s1.snapshot(&domain);
 
         // Safari-1R: clone state, revisit.
         let mut s1r = make_browser(&web, 999); // different rng stream!
         s1r.clone_state_from(&s1);
-        s1r.navigate(seed).unwrap();
+        s1r.navigate(seed, &mut TruthLog::new()).unwrap();
         let snap2 = s1r.snapshot(&domain);
 
         // Persistent tracker UIDs must be identical (same user), while the
@@ -657,11 +685,11 @@ mod tests {
         let domain = seed.registered_domain();
 
         let mut s1 = make_browser(&web, 11);
-        s1.navigate(seed.clone()).unwrap();
+        s1.navigate(seed.clone(), &mut TruthLog::new()).unwrap();
         let snap1 = s1.snapshot(&domain);
 
         let mut s2 = make_browser(&web, 22);
-        s2.navigate(seed).unwrap();
+        s2.navigate(seed, &mut TruthLog::new()).unwrap();
         let snap2 = s2.snapshot(&domain);
 
         // Tracker partition UIDs are minted from each profile's stream.
@@ -687,7 +715,8 @@ mod tests {
     fn beacons_are_logged_as_subresources() {
         let web = generate(&WebConfig::small());
         let mut b = make_browser(&web, 13);
-        b.navigate(web.seeder_urls()[0].clone()).unwrap();
+        b.navigate(web.seeder_urls()[0].clone(), &mut TruthLog::new())
+            .unwrap();
         assert!(
             b.request_log
                 .iter()

@@ -16,8 +16,9 @@
 //! * line 1 is the header: `{"schema":"cc-checkpoint/v2","study":…,"total_walks":…}`;
 //! * batches follow. A batch is one line per [`WalkRecord`], then one
 //!   *commit* line, `{"commit":{"failures":…,"truth":…}}`, holding the
-//!   batch's [`FailureStats`] and the truth-ledger entries added or
-//!   relabelled since the previous commit.
+//!   batch's [`FailureStats`] and the truth its walks minted (the first
+//!   batch of a resumed run adds the resume base's walks and truth). The
+//!   loader merges the commits' ledgers, as `TruthLog::merge` commutes.
 //!
 //! The [`FailureLedger`](crate::FailureLedger) is not stored: the loader
 //! rebuilds it from the walks, as [`CrawlDataset::merge`] does.
@@ -35,16 +36,17 @@
 //! # Writing
 //!
 //! [`CrawlCheckpoint::to_json`] and [`CrawlCheckpoint::save`] write the
-//! canonical form: the header, the walks in id order, and one commit line.
-//! A running crawl writes through [`CheckpointLog`] instead, which pays
-//! only for the walks added since its previous save and ends with the same
-//! canonical form. Nothing is fsynced: appends and rewrites alike reach
-//! the page cache and no further.
+//! canonical form: the header, the walks in id order, and one commit line
+//! holding the whole ledger. A running crawl writes through
+//! [`CheckpointLog`] instead, which pays only for the walks added since
+//! its previous save and their truth, and ends with the same canonical
+//! form. Nothing is fsynced: appends and rewrites alike reach the page
+//! cache and no further.
 
 use std::borrow::Cow;
 use std::collections::HashSet;
 use std::fs::File;
-use std::io::Write;
+use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
@@ -101,6 +103,18 @@ impl CrawlCheckpoint {
             partial,
             truth,
         }
+    }
+
+    /// Fold a later delta of the same crawl into this snapshot: its walks
+    /// move in (kept in id order), and its failure counters and truth are
+    /// added. This is how the deltas a [`SnapshotSink`] receives merge
+    /// back into the study they came from.
+    ///
+    /// [`SnapshotSink`]: crate::SnapshotSink
+    pub fn absorb(&mut self, delta: CrawlCheckpoint) {
+        let partial = std::mem::take(&mut self.partial);
+        self.partial = CrawlDataset::merge([partial, delta.partial]);
+        self.truth.absorb(delta.truth);
     }
 
     /// Ids of the walks already recorded.
@@ -322,12 +336,17 @@ fn json_line(value: &impl Serialize) -> Result<String, CcError> {
     Ok(line)
 }
 
+/// The `.tmp` sibling a rewrite of `path` goes through.
+fn tmp_path(path: &Path) -> PathBuf {
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(".tmp");
+    PathBuf::from(tmp)
+}
+
 /// Write `bytes` to a `.tmp` sibling of `path` and rename it over `path`.
 /// Returns the open file, positioned at its end, for later appends.
 fn write_atomic(path: &Path, bytes: &[u8]) -> Result<File, CcError> {
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
+    let tmp = tmp_path(path);
     let io = |e: std::io::Error| CcError::io(tmp.display().to_string(), e);
     let mut file = File::create(&tmp).map_err(io)?;
     file.write_all(bytes).map_err(io)?;
@@ -342,10 +361,12 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<File, CcError> {
 ///   first batch atomically (temp file + rename), so the checkpoint being
 ///   resumed survives until its successor is whole.
 /// * Each later save appends one batch: the new walks' lines, then a
-///   commit line.
+///   commit line with their failure counters and the truth they minted.
+///   A save costs what its batch holds, never what the file holds.
 /// * [`CheckpointLog::finish`] rewrites the canonical form atomically,
-///   copying the walk lines already on disk in id order rather than
-///   re-encoding them. A finished checkpoint therefore equals
+///   streaming the walk lines already on disk in id order from the old
+///   file into the new one rather than re-encoding them or holding
+///   either file in memory. A finished checkpoint therefore equals
 ///   [`CrawlCheckpoint::to_json`] of its own load.
 ///
 /// A failed save leaves the file at its last commit (a torn batch is
@@ -363,8 +384,6 @@ pub struct CheckpointLog {
     header_len: usize,
     /// Each walk line on disk: its id and its byte range, newline included.
     lines: Vec<(u32, Range<usize>)>,
-    /// The truth ledger as of the last commit.
-    truth: TruthLog,
     failures: FailureStats,
     failed: bool,
 }
@@ -380,18 +399,18 @@ impl CheckpointLog {
             len: 0,
             header_len: 0,
             lines: Vec::new(),
-            truth: TruthLog::new(),
             failures: FailureStats::default(),
             failed: false,
         }
     }
 
     /// Save one batch: `walks` (completed since the previous save) with
-    /// their `failures`, and `truth`, the whole ledger now. `base` is the
-    /// run's resume base; only the first save writes it.
+    /// their `failures` and `truth`, the ledger entries those walks
+    /// minted. `base` is the run's resume base; only the first save
+    /// writes its walks, failures and truth.
     pub fn append<'w>(
         &mut self,
-        base: &'w CrawlDataset,
+        base: &'w CrawlCheckpoint,
         walks: impl IntoIterator<Item = &'w WalkRecord>,
         failures: FailureStats,
         truth: &TruthLog,
@@ -414,8 +433,14 @@ impl CheckpointLog {
             buf.extend_from_slice(line.as_bytes());
             lines.push((walk.walk_id, at..at + line.len()));
         }
-        let delta = truth_delta(&self.truth, truth);
-        buf.extend_from_slice(commit_line(failures, &delta)?.as_bytes());
+        let commit = if first && !base.truth.is_empty() {
+            let mut with_base = base.truth.clone();
+            with_base.merge(truth);
+            commit_line(failures, &with_base)?
+        } else {
+            commit_line(failures, truth)?
+        };
+        buf.extend_from_slice(commit.as_bytes());
 
         let written = match self.file.as_mut() {
             Some(file) => file
@@ -433,17 +458,18 @@ impl CheckpointLog {
         self.lines.extend(lines);
         self.len += buf.len();
         self.failures.absorb(failures);
-        self.truth.merge(&delta);
         cc_telemetry::counter("crawl.checkpoint.writes", 1);
         Ok(())
     }
 
     /// The run's final save: the last `walks` with their `failures`, and
-    /// the whole `truth` ledger, rewritten with everything on disk into
-    /// the canonical form (see [`CrawlCheckpoint::to_json`]).
+    /// the whole `truth` ledger, which the canonical commit holds. The
+    /// walk lines already on disk are copied by byte range, in id order,
+    /// from the old file into a buffered temp file that is then renamed
+    /// over it (see [`CrawlCheckpoint::to_json`] for the form).
     pub fn finish<'w>(
         self,
-        base: &'w CrawlDataset,
+        base: &'w CrawlCheckpoint,
         walks: impl IntoIterator<Item = &'w WalkRecord>,
         failures: FailureStats,
         truth: &TruthLog,
@@ -453,65 +479,94 @@ impl CheckpointLog {
         }
         let _span = cc_telemetry::span("checkpoint.finish");
         let (walks, failures) = self.batch(base, walks, failures);
-        let (disk, header_len) = match self.file {
-            Some(_) => {
-                let disk = std::fs::read(&self.path)
-                    .map_err(|e| CcError::io(self.path.display().to_string(), e))?;
-                if disk.len() < self.len {
-                    return Err(CcError::Checkpoint(format!(
-                        "{}: shrank from {} to {} bytes under its writer",
-                        self.path.display(),
-                        self.len,
-                        disk.len()
-                    )));
-                }
-                (disk, self.header_len)
-            }
-            None => {
-                let header = self.header()?;
-                let len = header.len();
-                (header.into_bytes(), len)
-            }
-        };
         let fresh: Vec<(u32, String)> = walks
             .iter()
             .map(|w| Ok((w.walk_id, json_line(w)?)))
             .collect::<Result<_, CcError>>()?;
-        let mut lines: Vec<(u32, &[u8])> = self
+        // Every walk line in id order.
+        let mut lines: Vec<(u32, Line)> = self
             .lines
             .iter()
-            .map(|(id, range)| (*id, &disk[range.clone()]))
-            .chain(fresh.iter().map(|(id, line)| (*id, line.as_bytes())))
+            .map(|(id, range)| (*id, Line::OnDisk(range.clone())))
+            .chain(fresh.iter().map(|(id, line)| (*id, Line::Fresh(line))))
             .collect();
         lines.sort_unstable_by_key(|(id, _)| *id);
         let mut totals = self.failures;
         totals.absorb(failures);
         let commit = commit_line(totals, truth)?;
 
-        let size = header_len + lines.iter().map(|(_, l)| l.len()).sum::<usize>() + commit.len();
-        let mut out = Vec::with_capacity(size);
-        out.extend_from_slice(&disk[..header_len]);
-        for (_, line) in lines {
-            out.extend_from_slice(line);
+        let tmp = tmp_path(&self.path);
+        let written = self.stream_canonical(&tmp, &lines, &commit);
+        if written.is_err() {
+            std::fs::remove_file(&tmp).ok();
         }
-        out.extend_from_slice(commit.as_bytes());
-        write_atomic(&self.path, &out)?;
+        written?;
+        std::fs::rename(&tmp, &self.path)
+            .map_err(|e| CcError::io(self.path.display().to_string(), e))?;
         cc_telemetry::counter("crawl.checkpoint.writes", 1);
         Ok(())
+    }
+
+    /// Write the canonical form to `tmp`: the header, the walk lines in
+    /// `lines`' order, then `commit`.
+    fn stream_canonical(
+        &self,
+        tmp: &Path,
+        lines: &[(u32, Line)],
+        commit: &str,
+    ) -> Result<(), CcError> {
+        let at_tmp = |e: std::io::Error| CcError::io(tmp.display().to_string(), e);
+        let at_log = |e: std::io::Error| CcError::io(self.path.display().to_string(), e);
+        let mut out = BufWriter::new(File::create(tmp).map_err(at_tmp)?);
+        let mut old = match self.file {
+            Some(_) => {
+                let file = File::open(&self.path).map_err(at_log)?;
+                let on_disk = file.metadata().map_err(at_log)?.len() as usize;
+                if on_disk < self.len {
+                    return Err(CcError::Checkpoint(format!(
+                        "{}: shrank from {} to {} bytes under its writer",
+                        self.path.display(),
+                        self.len,
+                        on_disk
+                    )));
+                }
+                let mut old = LineCopier {
+                    old: BufReader::new(file),
+                    at: 0,
+                    buf: Vec::new(),
+                    path: &self.path,
+                };
+                old.copy(0..self.header_len, &mut out, at_tmp)?;
+                Some(old)
+            }
+            None => {
+                out.write_all(self.header()?.as_bytes()).map_err(at_tmp)?;
+                None
+            }
+        };
+        for (_, line) in lines {
+            match (line, old.as_mut()) {
+                (Line::OnDisk(range), Some(old)) => old.copy(range.clone(), &mut out, at_tmp)?,
+                (Line::OnDisk(_), None) => unreachable!("walk lines on disk imply an open log"),
+                (Line::Fresh(fresh), _) => out.write_all(fresh.as_bytes()).map_err(at_tmp)?,
+            }
+        }
+        out.write_all(commit.as_bytes()).map_err(at_tmp)?;
+        out.flush().map_err(at_tmp)
     }
 
     /// The walks and failure counters a save writes: the first save adds
     /// the resume base's.
     fn batch<'w>(
         &self,
-        base: &'w CrawlDataset,
+        base: &'w CrawlCheckpoint,
         walks: impl IntoIterator<Item = &'w WalkRecord>,
         mut failures: FailureStats,
     ) -> (Vec<&'w WalkRecord>, FailureStats) {
         let mut batch = Vec::new();
         if self.file.is_none() {
-            batch.extend(&base.walks);
-            failures.absorb(base.failures);
+            batch.extend(&base.partial.walks);
+            failures.absorb(base.partial.failures);
         }
         batch.extend(walks);
         (batch, failures)
@@ -529,17 +584,44 @@ impl CheckpointLog {
     }
 }
 
-/// The entries of `now` that `committed` lacks or labels differently.
-/// Labels only ever rise in precedence, so merging the delta into
-/// `committed` yields `now`.
-fn truth_delta(committed: &TruthLog, now: &TruthLog) -> TruthLog {
-    let mut delta = TruthLog::new();
-    for (value, label) in now.iter() {
-        if committed.get(value) != Some(label) {
-            delta.note(value, label);
+/// One walk line of the canonical rewrite.
+enum Line<'a> {
+    /// A byte range of the log on disk, newline included.
+    OnDisk(Range<usize>),
+    /// A line encoded by the final save.
+    Fresh(&'a str),
+}
+
+/// Copies walk lines from the log on disk into its canonical rewrite.
+struct LineCopier<'a> {
+    old: BufReader<File>,
+    /// `old`'s read position: a range that starts here is read without a
+    /// seek, so lines laid out in id order stream sequentially.
+    at: usize,
+    buf: Vec<u8>,
+    path: &'a Path,
+}
+
+impl LineCopier<'_> {
+    /// Copy bytes `range` of the old file to `out`, whose errors `at_out`
+    /// names.
+    fn copy(
+        &mut self,
+        range: Range<usize>,
+        out: &mut impl Write,
+        at_out: impl Fn(std::io::Error) -> CcError,
+    ) -> Result<(), CcError> {
+        let at_old = |e: std::io::Error| CcError::io(self.path.display().to_string(), e);
+        if range.start != self.at {
+            self.old
+                .seek(SeekFrom::Start(range.start as u64))
+                .map_err(at_old)?;
         }
+        self.buf.resize(range.len(), 0);
+        self.old.read_exact(&mut self.buf).map_err(at_old)?;
+        self.at = range.end;
+        out.write_all(&self.buf).map_err(at_out)
     }
-    delta
 }
 
 #[cfg(test)]
@@ -807,6 +889,84 @@ mod tests {
         refused("deep nesting", load(deep.as_bytes()));
     }
 
+    /// A log cut shorter under its writer is refused at `finish`, by
+    /// path, and the truncated file is left as it is.
+    #[test]
+    fn a_log_truncated_under_its_writer_is_refused_at_finish() {
+        let dir = scratch("cc-checkpoint-shrank");
+        let path = dir.join("log.ccp");
+        let fresh = CrawlCheckpoint::new(&study(), CrawlDataset::default(), TruthLog::new());
+        let mut log = CheckpointLog::new(&study(), &path);
+        log.append(
+            &fresh,
+            &[walk(0), walk(1)],
+            FailureStats::default(),
+            &TruthLog::new(),
+        )
+        .unwrap();
+        let len = std::fs::metadata(&path).unwrap().len();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(len - 10)
+            .unwrap();
+        match log.finish(
+            &fresh,
+            &[walk(2)],
+            FailureStats::default(),
+            &TruthLog::new(),
+        ) {
+            Err(CcError::Checkpoint(msg)) => assert!(
+                msg.contains(&path.display().to_string()) && msg.contains("shrank"),
+                "{msg}"
+            ),
+            other => panic!("a truncated log finished: {other:?}"),
+        }
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), len - 10);
+        assert!(
+            !tmp_path(&path).exists(),
+            "the refused rewrite left its temp file"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A resumed run's first save writes the resume base's walks and
+    /// truth with its own batch, and each later commit only its batch's.
+    #[test]
+    fn commits_hold_their_batch_s_truth_and_the_first_the_base_s() {
+        let dir = scratch("cc-checkpoint-batch-truth");
+        let path = dir.join("log.ccp");
+        let label = |v: &str, t| {
+            let mut log = TruthLog::new();
+            log.note(v, t);
+            log
+        };
+        let mut base = CrawlCheckpoint::new(&study(), CrawlDataset::default(), TruthLog::new());
+        base.partial.walks.push(walk(0));
+        base.truth = label("base-uid", cc_web::TokenTruth::SessionId);
+        let mut log = CheckpointLog::new(&study(), &path);
+        let first = label("first", cc_web::TokenTruth::Timestamp);
+        let second = label("second", cc_web::TokenTruth::UrlValue);
+        log.append(&base, &[walk(1)], FailureStats::default(), &first)
+            .unwrap();
+        log.append(&base, &[walk(2)], FailureStats::default(), &second)
+            .unwrap();
+        let bytes = std::fs::read_to_string(&path).unwrap();
+        let commits: Vec<&str> = bytes
+            .lines()
+            .filter(|l| l.starts_with("{\"commit\""))
+            .collect();
+        assert_eq!(commits.len(), 2);
+        assert!(commits[0].contains("base-uid") && commits[0].contains("first"));
+        assert!(!commits[1].contains("base-uid") && !commits[1].contains("first"));
+        assert!(commits[1].contains("second"));
+        let ck = CrawlCheckpoint::load(&path).unwrap();
+        assert_eq!(ck.partial.walks.len(), 3);
+        assert_eq!(ck.truth.len(), 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// The crash contract: a log cut anywhere after its header loads as
     /// its last complete commit, and resuming from it gives the
     /// uninterrupted run's bytes.
@@ -835,25 +995,17 @@ mod tests {
         let path = dir.join("log.ccp");
         let web = generate(&study.web);
         let mut log = CheckpointLog::new(&study, &path);
-        let mut commits = vec![(
-            0usize,
-            CrawlCheckpoint::new(&study, CrawlDataset::default(), TruthLog::new()),
-        )];
-        let mut so_far = CrawlDataset::default();
+        let fresh = CrawlCheckpoint::new(&study, CrawlDataset::default(), TruthLog::new());
+        let mut commits = vec![(0usize, fresh.clone())];
+        let mut so_far = fresh.clone();
         for batch in [0u32..4, 4..8, 8..12] {
             let ids: Vec<u32> = batch.collect();
-            let shard = StudyRun::new(&web, &study).lease(&ids).unwrap();
-            let truth = web.truth_snapshot();
-            log.append(
-                &CrawlDataset::default(),
-                &shard.walks,
-                shard.failures,
-                &truth,
-            )
-            .unwrap();
-            so_far = CrawlDataset::merge([so_far, shard]);
+            let (shard, truth) = StudyRun::new(&web, &study).lease(&ids).unwrap();
+            log.append(&fresh, &shard.walks, shard.failures, &truth)
+                .unwrap();
+            so_far.absorb(CrawlCheckpoint::new(&study, shard, truth));
             let end = std::fs::metadata(&path).unwrap().len() as usize;
-            commits.push((end, CrawlCheckpoint::new(&study, so_far.clone(), truth)));
+            commits.push((end, so_far.clone()));
         }
         let bytes = std::fs::read(&path).unwrap();
         let header_end = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;

@@ -27,7 +27,7 @@ use cc_http::RequestKind;
 use cc_net::{BreakerPolicy, FaultModel, RecoveryStats, RetryPolicy, SimClock, SimTime};
 use cc_url::Url;
 use cc_util::{DetRng, IStr};
-use cc_web::{ClickTarget, ElementModel, SimWeb};
+use cc_web::{ClickTarget, ElementModel, SimWeb, TruthLog};
 
 use crate::matching::{find_matching, select_shared};
 use crate::names::CrawlerName;
@@ -127,6 +127,7 @@ struct WalkPool<'w> {
 /// Snapshot, click, and follow: one crawler's half of a walk step.
 fn click_leg(
     b: &mut Browser<'_>,
+    truth: &mut TruthLog,
     page_url: Url,
     kind: cc_web::ElementKind,
     xpath: String,
@@ -134,7 +135,7 @@ fn click_leg(
 ) -> CrawlLegAndPage {
     let page_snapshot = b.snapshot(&page_url.registered_domain_interned());
     let clicked = Some(ClickedElement { kind, xpath });
-    match b.navigate(target) {
+    match b.navigate(target, truth) {
         Ok(mut out) => {
             let dest_snapshot = Some(b.snapshot(&out.final_url.registered_domain_interned()));
             let beacons = drain_beacons(b);
@@ -193,16 +194,21 @@ impl<'w> Walker<'w> {
     }
 
     /// Run the full crawl: one walk per seeder (§3.1's depth-first
-    /// strategy: maximize distinct pages, one click per page).
+    /// strategy: maximize distinct pages, one click per page). The walks'
+    /// ground truth is absorbed into the world's ledger once, at the end.
     pub fn crawl(&mut self) -> CrawlDataset {
         let mut dataset = CrawlDataset::default();
+        let mut truth = TruthLog::new();
         let seeders = self.web.seeder_urls();
         let limit = self.cfg.max_walks.unwrap_or(seeders.len());
         for (walk_id, seeder) in seeders.iter().take(limit).enumerate() {
-            let walk = self.walk(walk_id as u32, seeder.clone(), &mut dataset.failures);
+            let (walk, walk_truth) =
+                self.walk(walk_id as u32, seeder.clone(), &mut dataset.failures);
+            truth.absorb(walk_truth);
             dataset.ledger.note(&walk);
             dataset.walks.push(walk);
         }
+        self.web.absorb_truth_owned(truth);
         dataset
     }
 
@@ -276,17 +282,21 @@ impl<'w> Walker<'w> {
         }
     }
 
-    /// Execute one ten-step walk from a seeder.
+    /// Execute one ten-step walk from a seeder. Returns the record and
+    /// the walk's own ground-truth ledger: every value its four browsers
+    /// minted, a pure function of `(config, walk_id)` like the record.
     pub(crate) fn walk(
         &mut self,
         walk_id: u32,
         seeder: Url,
         failures: &mut FailureStats,
-    ) -> WalkRecord {
+    ) -> (WalkRecord, TruthLog) {
         let _walk_span = cc_telemetry::span("crawl.walk");
         let walk_started = std::time::Instant::now();
         let mut pool = self.take_pool(walk_id);
-        let mut record = self.walk_inner(&mut pool, walk_id, seeder, failures);
+        // One ledger for the walk: all four crawlers mint into it.
+        let mut truth = TruthLog::new();
+        let mut record = self.walk_inner(&mut pool, &mut truth, walk_id, seeder, failures);
         // Whatever way the walk terminated, roll the retry/breaker
         // accounting of all four crawlers into the record.
         let mut recovery = pool.trailing.recovery;
@@ -318,7 +328,7 @@ impl<'w> Walker<'w> {
             cc_telemetry::HistogramId::CRAWL_WALK_DURATION,
             walk_started.elapsed().as_secs_f64() * 1e3,
         );
-        record
+        (record, truth)
     }
 
     /// The walk loop proper: the controller driving the three parallel
@@ -327,6 +337,7 @@ impl<'w> Walker<'w> {
     fn walk_inner(
         &self,
         pool: &mut WalkPool<'w>,
+        truth: &mut TruthLog,
         walk_id: u32,
         seeder: Url,
         failures: &mut FailureStats,
@@ -347,7 +358,9 @@ impl<'w> Walker<'w> {
 
         // Initial load of the seeder page by all three.
         failures.steps_attempted += 1;
-        let initial = browsers.each_mut().map(|b| b.navigate(seeder.clone()));
+        let initial = browsers
+            .each_mut()
+            .map(|b| b.navigate(seeder.clone(), truth));
         let mut pages = match split_ok(initial) {
             Ok(outcomes) => outcomes,
             Err(e) => {
@@ -412,6 +425,7 @@ impl<'w> Walker<'w> {
                 let (el, url) = &targets[i];
                 click_leg(
                     &mut browsers[i],
+                    truth,
                     pages[i].final_url.clone(),
                     el.kind,
                     el.xpath.clone(),
@@ -422,7 +436,7 @@ impl<'w> Walker<'w> {
             // Safari-1R replay: become the same user as Safari-1 (clone its
             // post-step state) and repeat the step.
             trailing.storage = browsers[0].storage.clone();
-            let trailing_leg = self.replay_step(trailing, &pages[0].final_url, targets[0].0);
+            let trailing_leg = self.replay_step(trailing, truth, &pages[0].final_url, targets[0].0);
 
             // Assemble the step record.
             let mut step_record = StepRecord {
@@ -487,10 +501,11 @@ impl<'w> Walker<'w> {
     fn replay_step(
         &self,
         trailing: &mut Browser<'_>,
+        truth: &mut TruthLog,
         page_url: &Url,
         reference: &ElementModel,
     ) -> CrawlLeg {
-        match trailing.navigate(page_url.clone()) {
+        match trailing.navigate(page_url.clone(), truth) {
             Ok(out) => {
                 let page_snapshot = trailing.snapshot(&out.final_url.registered_domain_interned());
                 let matched = find_matching(reference, &out.page.elements);
@@ -511,7 +526,7 @@ impl<'w> Walker<'w> {
                     }
                 });
                 match click {
-                    Some((kind, xpath, url)) => match trailing.navigate(url) {
+                    Some((kind, xpath, url)) => match trailing.navigate(url, truth) {
                         Ok(out2) => CrawlLeg {
                             page_url: page_url.clone(),
                             page_snapshot,

@@ -16,7 +16,8 @@
 //!   lease interleaving, and any kill history.
 //! * [`worker`] — dials in, regenerates the world from the Welcome's
 //!   study config, crawls each lease through the existing parallel
-//!   executor, and ships dataset shards + truth snapshots back.
+//!   executor, and ships each lease's dataset shard and the truth its
+//!   walks minted back.
 //!
 //! Checkpoint/resume shares cc-crawler's `cc-checkpoint/v2` writer
 //! ([`cc_crawler::CheckpointLog`]): the manager appends accepted shards on
@@ -184,7 +185,7 @@ mod tests {
     fn resume_refuses_repeated_and_foreign_walks() {
         let study = small_study(1);
         let web = generate(&study.web);
-        let done = cc_crawler::StudyRun::new(&web, &study)
+        let (done, _) = cc_crawler::StudyRun::new(&web, &study)
             .lease(&[0, 1, 2])
             .unwrap();
         for (extra, why) in [(1u32, "walk 1 appears twice"), (12, "walk 12 is outside")] {

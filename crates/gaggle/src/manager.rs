@@ -127,8 +127,11 @@ struct LeaseState {
     outstanding: BTreeMap<u64, OutstandingLease>,
     next_lease_id: u64,
     done: bool,
-    base: CrawlDataset,
+    /// The resume base (empty on a fresh run).
+    base: CrawlCheckpoint,
     shards: Vec<CrawlDataset>,
+    /// The truth of the shards accepted since the last save.
+    unsaved_truth: TruthLog,
     walks_done: usize,
     last_saved_bucket: usize,
     /// The checkpoint log, when the study checkpoints.
@@ -140,14 +143,15 @@ struct LeaseState {
 }
 
 impl LeaseState {
-    /// Append the accepted shards the log lacks.
-    fn save(&mut self, truth: &TruthLog) -> Result<(), CcError> {
+    /// Append the accepted shards the log lacks, with their truth.
+    fn save(&mut self) -> Result<(), CcError> {
         let Some(log) = self.log.as_mut() else {
             return Ok(());
         };
         let (walks, failures) = walks_of(&self.shards[self.saved_shards..]);
-        log.append(&self.base, walks, failures, truth)?;
+        log.append(&self.base, walks, failures, &self.unsaved_truth)?;
         self.saved_shards = self.shards.len();
+        self.unsaved_truth = TruthLog::new();
         Ok(())
     }
 }
@@ -311,7 +315,7 @@ impl Shared {
         worker: u32,
         lease_id: u64,
         shard: CrawlDataset,
-        truth: &cc_web::TruthLog,
+        truth: &TruthLog,
     ) -> bool {
         let mut st = self.lock();
         let live = st
@@ -329,8 +333,14 @@ impl Shared {
         st.stats.leases_completed += 1;
         cc_telemetry::counter_id(CounterId::GAGGLE_LEASES_COMPLETED, 1);
 
-        // Idempotent converge: identical mints collapse, so absorbing
-        // every worker's full snapshot yields the single-process ledger.
+        // Each lease's truth is what its walks minted; the leases'
+        // union, with the world's generation-time entries, is the
+        // single-process ledger. The entries are copied in rather than
+        // moved: kept, the decoded frame's strings raised the peak RSS of
+        // a 250-walk, two-worker gaggle.
+        if st.log.is_some() {
+            st.unsaved_truth.merge(truth);
+        }
         self.web.absorb_truth(truth);
         if let Some(p) = &self.progress {
             let slot = worker as usize % p.n_workers().max(1);
@@ -347,11 +357,11 @@ impl Shared {
         // files differ run-to-run — only the final artifacts are
         // byte-pinned, and the final checkpoint is written at join.
         if let Some(policy) = &self.study.checkpoint {
-            let total = st.base.walks.len() + st.walks_done;
+            let total = st.base.partial.walks.len() + st.walks_done;
             let bucket = total / policy.every.max(1);
             if bucket > st.last_saved_bucket {
                 st.last_saved_bucket = bucket;
-                if let Err(e) = st.save(&self.web.truth_snapshot()) {
+                if let Err(e) = st.save() {
                     st.error.get_or_insert(e);
                 }
             }
@@ -391,9 +401,12 @@ impl Manager {
                 let remaining = ck.remaining();
                 cc_telemetry::counter("crawl.resume.walks_restored", ck.partial.walks.len() as u64);
                 cc_telemetry::counter("crawl.resume.walks_remaining", remaining.len() as u64);
-                (ck.partial, remaining)
+                (ck, remaining)
             }
-            None => (CrawlDataset::default(), (0..total as u32).collect()),
+            None => (
+                CrawlCheckpoint::new(study, CrawlDataset::default(), TruthLog::new()),
+                (0..total as u32).collect(),
+            ),
         };
         ids.retain(|&id| (id as usize) < seeders_len);
 
@@ -411,7 +424,7 @@ impl Manager {
             pending,
             outstanding: BTreeMap::new(),
             next_lease_id: 1,
-            last_saved_bucket: base.walks.len() / every,
+            last_saved_bucket: base.partial.walks.len() / every,
             log: study
                 .checkpoint
                 .as_ref()
@@ -419,6 +432,7 @@ impl Manager {
             saved_shards: 0,
             base,
             shards: Vec::new(),
+            unsaved_truth: TruthLog::new(),
             walks_done: 0,
             stats: GaggleStats::default(),
             error: None,
@@ -497,9 +511,11 @@ fn run_manager(
         // Final emission, same as a single-process run: the file on disk
         // always ends holding the complete study, in canonical form.
         let (walks, failures) = walks_of(&st.shards[st.saved_shards..]);
-        log.finish(&st.base, walks, failures, &shared.web.truth_snapshot())?;
+        shared
+            .web
+            .with_truth(|whole| log.finish(&st.base, walks, failures, whole))?;
     }
-    let base = std::mem::take(&mut st.base);
+    let base = std::mem::take(&mut st.base.partial);
     let shards = std::mem::take(&mut st.shards);
     let stats = st.stats.clone();
     drop(st);

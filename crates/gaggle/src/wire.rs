@@ -170,9 +170,9 @@ pub enum Frame {
         lease_id: u64,
         /// The crawled walks + failure stats for exactly the leased ids.
         shard: CrawlDataset,
-        /// The worker's full truth-ledger snapshot. Merging is idempotent
-        /// (identical mints converge), so shipping the whole ledger every
-        /// time keeps the frame schema simple.
+        /// The truth the lease's walks minted, and nothing else: the
+        /// manager regenerates the world's generation-time entries
+        /// itself, and the leases' ledgers merge commutatively.
         truth: TruthLog,
     },
     /// Worker → manager, before Goodbye: drained telemetry totals to fold

@@ -184,7 +184,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, CcError> {
                     .lease(&walk_ids);
                 drop(stop_tx);
                 let _ = hb.join();
-                let shard = shard?;
+                let (shard, truth) = shard?;
 
                 summary.leases += 1;
                 summary.walks += shard.walks.len() as u64;
@@ -194,7 +194,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, CcError> {
                 send(&Frame::ShardResult {
                     lease_id,
                     shard,
-                    truth: web.truth_snapshot(),
+                    truth,
                 })?;
             }
             Ok((Frame::Goodbye { .. }, _)) => {

@@ -27,7 +27,8 @@
 //!   cached simulated web, and
 //!   [`IndexPublisher`](publish::IndexPublisher) runs that fold on a
 //!   dedicated coalescing thread behind the executor's
-//!   [`SnapshotSink`](cc_crawler::SnapshotSink) hook.
+//!   [`SnapshotSink`](cc_crawler::SnapshotSink) hook, merging the
+//!   executor's deltas into the study it folds.
 //! * [`server`] — [`Server`](server::Server): the one `TcpListener`
 //!   accept loop feeding a fixed worker thread pool through a bounded
 //!   queue. Load above `max_inflight` is shed with `503`; shutdown (via

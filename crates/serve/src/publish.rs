@@ -13,15 +13,17 @@
 //!   cache, which is what makes the final followed epoch byte-identical
 //!   to an offline build over the same checkpoint.
 //! * [`IndexPublisher`] — the executor-facing sink. It implements
-//!   [`cc_crawler::SnapshotSink`]: crawl workers hand it snapshots and
-//!   return to walking immediately; a dedicated indexer thread drains
-//!   the queue, **coalescing** to the newest pending snapshot (snapshots
-//!   are monotone supersets, so skipping intermediates loses nothing),
-//!   folds it, and publishes the new epoch to an [`IndexHandle`].
+//!   [`cc_crawler::SnapshotSink`]: crawl workers hand it deltas (the
+//!   walks, failure counters and truth since the previous publish) and
+//!   return to walking immediately; a dedicated indexer thread merges
+//!   each delta, by move, into the one study it keeps
+//!   ([`CrawlCheckpoint::absorb`]), **coalescing** every pending delta
+//!   before it folds, and publishes the new epoch to an [`IndexHandle`].
 //!
-//! The indexer thread is the only place index builds happen, so a slow
-//! fold can never block either a crawl worker or a server reader — the
-//! worst case is simply that an epoch indexes a bigger batch.
+//! The indexer thread is the only place deltas are merged and index
+//! builds happen, so a slow fold can never block either a crawl worker
+//! or a server reader — the worst case is simply that an epoch indexes a
+//! bigger batch.
 
 use std::sync::mpsc;
 use std::sync::Mutex;
@@ -68,7 +70,9 @@ impl IncrementalIndexBuilder {
         ServingIndex::fold_with_web(&self.web, &empty, 0)
     }
 
-    /// Fold one snapshot. Returns `Ok(None)` for a snapshot that does not
+    /// Fold one full snapshot of the study so far (the union of the
+    /// deltas published so far, or a checkpoint read from disk). Returns
+    /// `Ok(None)` for a snapshot that does not
     /// grow the indexed walk set (a coalesced duplicate or an out-of-date
     /// follower read) — epochs only ever advance with new walks, which
     /// keeps the `X-Cc-Epoch`/body pairing injective per crawl. Snapshots
@@ -100,8 +104,8 @@ impl IncrementalIndexBuilder {
     }
 }
 
-/// The executor-side publishing sink: queue-in on the crawl thread,
-/// fold-and-swap on a dedicated indexer thread.
+/// The executor-side publishing sink: queue-in on the crawl thread;
+/// merge, fold and swap on a dedicated indexer thread.
 ///
 /// Wire it into a run with
 /// [`PublishPolicy`](cc_crawler::PublishPolicy) and an epoch-swappable
@@ -113,8 +117,12 @@ impl IncrementalIndexBuilder {
 /// StudyRun::new(&web, &study)
 ///     .publish(PublishPolicy::new(25, publisher.clone()))
 ///     .run()?;
-/// publisher.finish()?; // crawl done: drain, fold the final snapshot, join
+/// publisher.finish()?; // crawl done: drain, fold the final delta, join
 /// ```
+///
+/// The indexer keeps the one study it folds and merges every delta into
+/// it by move, so the crawl thread copies each walk once (into its
+/// delta) and nothing here copies a walk at all.
 pub struct IndexPublisher {
     tx: Mutex<Option<mpsc::Sender<CrawlCheckpoint>>>,
     indexer: Mutex<Option<JoinHandle<Result<(), CcError>>>>,
@@ -122,23 +130,31 @@ pub struct IndexPublisher {
 }
 
 impl IndexPublisher {
-    /// Spawn the indexer thread. Each queued snapshot (coalesced to the
-    /// newest pending) is folded by `builder` and published to `handle`.
+    /// Spawn the indexer thread. Each queued delta is merged into the
+    /// study so far (all pending deltas at once), which `builder` folds
+    /// and publishes to `handle`.
     pub fn start(mut builder: IncrementalIndexBuilder, handle: IndexHandle) -> IndexPublisher {
         let (tx, rx) = mpsc::channel::<CrawlCheckpoint>();
         let publish_to = handle.clone();
         let indexer = std::thread::Builder::new()
             .name("cc-indexer".into())
             .spawn(move || -> Result<(), CcError> {
-                while let Ok(mut snapshot) = rx.recv() {
-                    // Coalesce: only the newest pending snapshot matters
-                    // (each is a superset of the ones before it), so a
-                    // fold slower than the publish cadence falls behind by
-                    // batching, never by queue growth.
+                let mut merged: Option<CrawlCheckpoint> = None;
+                while let Ok(delta) = rx.recv() {
+                    let study = match merged.as_mut() {
+                        Some(study) => {
+                            study.absorb(delta);
+                            study
+                        }
+                        None => merged.insert(delta),
+                    };
+                    // Coalesce: merge every pending delta before folding,
+                    // so a fold slower than the publish cadence falls
+                    // behind by batching, never by queue growth.
                     while let Ok(newer) = rx.try_recv() {
-                        snapshot = newer;
+                        study.absorb(newer);
                     }
-                    if let Some(index) = builder.fold(&snapshot)? {
+                    if let Some(index) = builder.fold(study)? {
                         publish_to.publish(index);
                     }
                 }
@@ -158,8 +174,8 @@ impl IndexPublisher {
     }
 
     /// Finish publishing: close the queue, let the indexer drain it (the
-    /// executor's final complete snapshot is always still in there), fold
-    /// the last epoch, and join. Returns the first fold/validation error,
+    /// executor's final delta is always still in there), fold the last
+    /// epoch, and join. Returns the first fold/validation error,
     /// if any. Idempotent; snapshots published after this are dropped.
     pub fn finish(&self) -> Result<(), CcError> {
         drop(self.tx.lock().expect("publisher sender poisoned").take());
@@ -179,7 +195,8 @@ impl std::fmt::Debug for IndexPublisher {
 
 impl SnapshotSink for IndexPublisher {
     fn publish(&self, snapshot: CrawlCheckpoint) {
-        // Called under the executor's accumulator lock: just enqueue. A
+        // Called under the executor's accumulator lock: just enqueue the
+        // delta; the indexer thread merges it. A
         // send after finish() means the sink outlived its crawl — drop.
         if let Some(tx) = self.tx.lock().expect("publisher sender poisoned").as_ref() {
             let _ = tx.send(snapshot);

@@ -11,9 +11,10 @@
 //!    snapshots with different walk sets must change the ETag of every
 //!    route whose body changed (and only those), so a caching client can
 //!    never revalidate a stale body against a fresh epoch.
-//! 3. **The fold cache changes no bytes.** An incremental builder that
-//!    reuses per-walk work across epochs serves exactly what a fold with
-//!    an empty cache serves over the same snapshot.
+//! 3. **The fold cache changes no bytes.** One incremental builder fed
+//!    any grouping of consecutive deltas, merged as `IndexPublisher`
+//!    merges them, serves after each fold exactly what a fold with an
+//!    empty cache serves over their union.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -24,10 +25,14 @@ use proptest::prelude::*;
 
 const WALKS: usize = 10;
 
-/// One crawl, snapshotted after every walk: `snapshots()[k]` covers
-/// `k + 1` walks. Built once and shared across all proptest cases.
-fn snapshots() -> &'static (StudyConfig, Vec<CrawlCheckpoint>) {
-    static CELL: OnceLock<(StudyConfig, Vec<CrawlCheckpoint>)> = OnceLock::new();
+/// One crawl, publishing a delta after every walk: the study, the deltas
+/// in publish order, and their running unions (`.2[k]` merges the first
+/// `k + 1` deltas, so it covers `k + 1` walks). Built once and shared
+/// across all proptest cases.
+type Deltas = (StudyConfig, Vec<CrawlCheckpoint>, Vec<CrawlCheckpoint>);
+
+fn deltas() -> &'static Deltas {
+    static CELL: OnceLock<Deltas> = OnceLock::new();
     CELL.get_or_init(|| {
         struct Rec(Mutex<Vec<CrawlCheckpoint>>);
         impl SnapshotSink for Rec {
@@ -52,17 +57,29 @@ fn snapshots() -> &'static (StudyConfig, Vec<CrawlCheckpoint>) {
             ))
             .run()
             .unwrap();
-        let mut cks = std::mem::take(&mut *rec.0.lock().unwrap());
-        // The final complete snapshot stands in for the last every-walk
-        // one, so no two snapshots should share a walk count.
-        cks.dedup_by_key(|ck| ck.partial.walks.len());
-        assert_eq!(cks.len(), WALKS, "one snapshot per walk");
-        (study, cks)
+        let deltas = std::mem::take(&mut *rec.0.lock().unwrap());
+        // The final delta stands in for the last every-walk one.
+        assert_eq!(deltas.len(), WALKS, "one delta per walk");
+        let mut unions: Vec<CrawlCheckpoint> = Vec::new();
+        for delta in &deltas {
+            let mut union = match unions.last() {
+                Some(last) => last.clone(),
+                None => CrawlCheckpoint::new(&study, Default::default(), Default::default()),
+            };
+            union.absorb(delta.clone());
+            unions.push(union);
+        }
+        (study, deltas, unions)
     })
 }
 
+/// The running unions of the deltas: the study as of each publish.
+fn snapshots() -> &'static [CrawlCheckpoint] {
+    &deltas().2
+}
+
 fn fold(ck: &CrawlCheckpoint, epoch: u64) -> ServingIndex {
-    let (study, _) = snapshots();
+    let (study, _, _) = deltas();
     let web = generate(&study.web);
     ServingIndex::fold_with_web(&web, ck, epoch).unwrap()
 }
@@ -78,7 +95,7 @@ proptest! {
         e1 in 1u64..60,
         e2 in 1u64..60,
     ) {
-        let (_, cks) = snapshots();
+        let cks = snapshots();
         let ia = fold(&cks[k], e1);
         let ib = fold(&cks[k], e2);
         for (route, ca) in ia.routes() {
@@ -101,7 +118,7 @@ proptest! {
         a in 0usize..WALKS,
         b in 0usize..WALKS,
     ) {
-        let (_, cks) = snapshots();
+        let cks = snapshots();
         let ia = fold(&cks[a], (a + 1) as u64);
         let ib = fold(&cks[b], (b + 1) as u64);
         for (route, ca) in ia.routes() {
@@ -123,16 +140,29 @@ proptest! {
         }
     }
 
-    /// Invariant 3: one builder fed an increasing subsequence of the
-    /// snapshots (coalescing skips the rest) serves, after every fold,
-    /// the bodies and ETags of a fresh empty-cache fold of that snapshot.
+    /// Invariant 3: one builder fed the deltas in any grouping of
+    /// consecutive ones (`mask` marks where a fold happens; the deltas
+    /// in between coalesce into it), merged as `IndexPublisher` merges
+    /// them, serves after every fold the bodies and ETags of a fresh
+    /// empty-cache fold of their union.
     #[test]
     fn cached_folds_serve_the_bytes_of_fresh_folds(mask in 1u32..(1 << WALKS)) {
-        let (study, cks) = snapshots();
+        let (study, deltas, unions) = deltas();
         let mut builder = IncrementalIndexBuilder::new(study);
-        for (k, ck) in cks.iter().enumerate().filter(|(k, _)| mask & (1 << k) != 0) {
-            let cached = builder.fold(ck).unwrap().expect("a growing snapshot folds");
-            let fresh = fold(ck, cached.epoch());
+        let mut merged: Option<CrawlCheckpoint> = None;
+        for (k, delta) in deltas.iter().enumerate() {
+            let study = match merged.as_mut() {
+                Some(study) => {
+                    study.absorb(delta.clone());
+                    study
+                }
+                None => merged.insert(delta.clone()),
+            };
+            if mask & (1 << k) == 0 {
+                continue;
+            }
+            let cached = builder.fold(study).unwrap().expect("a growing snapshot folds");
+            let fresh = fold(&unions[k], cached.epoch());
             let routes: Vec<_> = cached.routes().map(|(p, b)| (p, &b.body, &b.etag)).collect();
             let expected: Vec<_> = fresh.routes().map(|(p, b)| (p, &b.body, &b.etag)).collect();
             prop_assert_eq!(routes.len(), expected.len(), "route sets differ at snapshot {}", k);

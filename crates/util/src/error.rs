@@ -89,6 +89,15 @@ pub enum CcError {
     /// Wire-protocol violation on a framed connection (bad magic, unknown
     /// frame type, oversized or truncated payload, version mismatch).
     Protocol(String),
+    /// A crawl thread panicked: in a walk, or in a sink the walk's
+    /// completion fired. The run stops and returns this instead of
+    /// unwinding into its caller.
+    Panic {
+        /// The walk that was running, when there was one.
+        walk: Option<u32>,
+        /// The panic's message.
+        msg: String,
+    },
 }
 
 impl CcError {
@@ -133,6 +142,11 @@ impl std::fmt::Display for CcError {
             CcError::Serde(m) => write!(f, "serialization error: {m}"),
             CcError::Checkpoint(m) => write!(f, "checkpoint error: {m}"),
             CcError::Protocol(m) => write!(f, "protocol error: {m}"),
+            CcError::Panic {
+                walk: Some(walk),
+                msg,
+            } => write!(f, "walk {walk} panicked: {msg}"),
+            CcError::Panic { walk: None, msg } => write!(f, "crawl thread panicked: {msg}"),
         }
     }
 }

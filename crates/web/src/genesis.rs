@@ -23,7 +23,7 @@ use cc_util::{DetRng, Zipf};
 use crate::campaign::{Campaign, CampaignId, UidSpan};
 use crate::category::Category;
 use crate::entity::{OrgId, Organization};
-use crate::script::TokenTruth;
+use crate::script::{TokenTruth, TruthLog};
 use crate::server::SimWeb;
 use crate::site::{AdSlot, LinkDecoration, Page, Site, SiteId, StaticLink};
 use crate::tracker::{Tracker, TrackerId, TrackerKind, UID_PARAM_NAMES};
@@ -821,9 +821,11 @@ impl Generator {
             seeders,
         );
         web.rotation_zipf = self.cfg.slot_rotation_zipf;
-        for (value, truth) in self.truths {
-            web.note_truth(&value, truth);
+        let mut truth = TruthLog::new();
+        for (value, label) in self.truths {
+            truth.note(&value, label);
         }
+        web.absorb_truth_owned(truth);
         web
     }
 

@@ -10,15 +10,13 @@
 //! UID smuggling exploits (§2: redirectors "are permitted to store first
 //! party cookies").
 
-use parking_lot::Mutex;
-
 use cc_http::{header::names, parse_cookie_header, Cookie, PageBody, Request, Response, SetCookie};
 use cc_net::{DnsDb, SimTime};
 use cc_url::{Host, Scheme, Url};
 use cc_util::{ids, DetRng, IStr, Zipf};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
+use std::sync::{OnceLock, PoisonError, RwLock};
 
 use crate::campaign::{Campaign, CampaignId, UidSpan};
 use crate::element::{BBox, ClickTarget, ElementKind, ElementModel};
@@ -57,6 +55,9 @@ pub struct ServeCtx<'a> {
     pub rng: &'a mut DetRng,
     /// Current simulated time.
     pub now: SimTime,
+    /// The walk's own ground-truth ledger: every value this request
+    /// mints is noted here, never in a ledger other walks share.
+    pub truth: &'a mut TruthLog,
 }
 
 /// Server-side failure.
@@ -108,7 +109,9 @@ pub struct SimWeb {
     pub rotation_zipf: f64,
     site_by_fqdn: HashMap<String, SiteId>,
     tracker_by_fqdn: HashMap<String, TrackerId>,
-    truth: Mutex<TruthLog>,
+    /// The world's ledger: generation-time entries plus what crawls
+    /// absorb when they finish. Walks mint into their own ledgers.
+    truth: RwLock<TruthLog>,
     prepared: Prepared,
     render_cache_enabled: AtomicBool,
 }
@@ -203,7 +206,7 @@ struct PreparedSlot {
 }
 
 // The parallel crawl executor shares one `&SimWeb` across worker threads;
-// every field is either immutable world data or the mutex-guarded truth
+// every field is either immutable world data or the lock-guarded truth
 // ledger, so the type must stay `Send + Sync`. This assertion turns any
 // future interior-mutability regression into a compile error.
 const _: () = {
@@ -338,7 +341,7 @@ impl SimWeb {
             rotation_zipf: 1.6,
             site_by_fqdn,
             tracker_by_fqdn,
-            truth: Mutex::new(TruthLog::new()),
+            truth: RwLock::new(TruthLog::new()),
         }
     }
 
@@ -367,23 +370,36 @@ impl SimWeb {
         self.tracker_by_fqdn.get(host).map(|id| self.tracker(*id))
     }
 
-    /// Record ground truth for a minted value.
-    pub fn note_truth(&self, value: &str, truth: TokenTruth) {
-        self.truth.lock().note(value, truth);
-    }
-
     /// Snapshot of the ground-truth ledger.
     pub fn truth_snapshot(&self) -> TruthLog {
-        self.truth.lock().clone()
+        self.with_truth(TruthLog::clone)
     }
 
-    /// Fold a previously snapshotted ledger back in (checkpoint resume).
+    /// Read the ground-truth ledger in place, without copying it. (A
+    /// poisoned lock is read through: every note leaves the ledger whole.)
+    pub fn with_truth<R>(&self, read: impl FnOnce(&TruthLog) -> R) -> R {
+        read(&self.truth.read().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// Fold a ledger in: a checkpoint's on resume, or a finished crawl's.
     ///
     /// `TruthLog::note` commutes and is idempotent for identical mints, so
-    /// absorbing a checkpoint's ledger and then re-running the remaining
-    /// walks converges to the same ledger an uninterrupted crawl builds.
+    /// absorbing a checkpoint's ledger and then the remaining walks'
+    /// converges to the same ledger an uninterrupted crawl builds.
     pub fn absorb_truth(&self, log: &TruthLog) {
-        self.truth.lock().merge(log);
+        self.truth
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .merge(log);
+    }
+
+    /// [`Self::absorb_truth`] for a ledger the caller is done with: its
+    /// entries move in instead of being copied.
+    pub fn absorb_truth_owned(&self, log: TruthLog) {
+        self.truth
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .absorb(log);
     }
 
     /// Seeder URLs, most popular first — the walk starting points (§3.1).
@@ -445,12 +461,12 @@ impl SimWeb {
             // is the §3.7.1 workload — identical-user crawlers (Safari-1 vs
             // Safari-1R) observe *different* values.
             let sid = ids::generate_session_id(ctx.rng);
-            self.note_truth(&sid, TokenTruth::SessionId);
+            ctx.truth.note(&sid, TokenTruth::SessionId);
             resp = resp.with_set_cookie(SetCookie::session(prep.session_cookie.as_str(), sid));
         }
         if site.sets_own_uid && !has_cookie(&cookies, &prep.own_uid_cookie) {
             let uid = ids::generate_uid(ctx.rng);
-            self.note_truth(
+            ctx.truth.note(
                 &uid,
                 TokenTruth::Uid {
                     tracker: None,
@@ -467,7 +483,7 @@ impl SimWeb {
             // The crawler persona accepts the banner: a first-party consent
             // cookie appears in this partition, which is what the
             // consent-gated species checks before decorating.
-            self.note_truth(CONSENT_VALUE, TokenTruth::Internal);
+            ctx.truth.note(CONSENT_VALUE, TokenTruth::Internal);
             resp = resp.with_set_cookie(SetCookie::persistent(
                 CONSENT_COOKIE,
                 CONSENT_VALUE.to_string(),
@@ -535,7 +551,7 @@ impl SimWeb {
             // recover the inner values (§3.6).
             if !payload.is_empty() {
                 let blob = serialize_params(&payload);
-                self.note_truth(&blob, TokenTruth::Internal);
+                ctx.truth.note(&blob, TokenTruth::Internal);
                 set_cookies.push(SetCookie::persistent(
                     tracker.received_uid_key(),
                     blob,
@@ -547,7 +563,7 @@ impl SimWeb {
                 Some(v) => v.to_string(),
                 None => {
                     let uid = ids::generate_uid(ctx.rng);
-                    self.note_truth(
+                    ctx.truth.note(
                         &uid,
                         TokenTruth::Uid {
                             tracker: Some(tracker.id),
@@ -707,7 +723,7 @@ impl SimWeb {
         } else {
             ids::generate_uid(host.rng())
         };
-        self.note_truth(
+        host.note_truth(
             &uid,
             TokenTruth::Uid {
                 tracker: Some(tracker.id),
@@ -771,7 +787,7 @@ impl SimWeb {
         // which is how UIDs leak to third parties that never smuggled
         // (Figure 6).
         let page_url_string = url.to_url_string();
-        self.note_truth(&page_url_string, TokenTruth::UrlValue);
+        host.note_truth(&page_url_string, TokenTruth::UrlValue);
         let mut beacon = prep.beacon_base.clone();
         beacon.query_set(&tracker.uid_param, &uid);
         beacon.query_set(P_BEACON_URL, &page_url_string);
@@ -991,7 +1007,7 @@ impl SimWeb {
     /// parameter order, and the truth-ledger mints still fire per render.
     fn campaign_click_url(&self, campaign: &Campaign, host: &mut dyn ScriptHost) -> Url {
         let prep = &self.prepared.campaigns[campaign.id.0 as usize];
-        self.note_truth(&prep.dest_string, TokenTruth::UrlValue);
+        host.note_truth(&prep.dest_string, TokenTruth::UrlValue);
         let mut click = prep.click_base.clone();
 
         // The owner's UID enters at the originator when the span says so.
@@ -1012,12 +1028,12 @@ impl SimWeb {
         }
         if campaign.add_timestamp {
             let ts = host.now().as_millis().to_string();
-            self.note_truth(&ts, TokenTruth::Timestamp);
+            host.note_truth(&ts, TokenTruth::Timestamp);
             click.query_set(P_TIMESTAMP, &ts);
         }
         if campaign.add_session_id {
             let sid = ids::generate_session_id(host.rng());
-            self.note_truth(&sid, TokenTruth::SessionId);
+            host.note_truth(&sid, TokenTruth::SessionId);
             click.query_set(P_SESSION, &sid);
         }
         click
@@ -1201,6 +1217,7 @@ mod tests {
         rng: DetRng,
         beacons: Vec<Url>,
         fp: u64,
+        truth: TruthLog,
     }
 
     impl TestHost {
@@ -1211,6 +1228,7 @@ mod tests {
                 rng: DetRng::new(seed),
                 beacons: Vec::new(),
                 fp: 0xFEED,
+                truth: TruthLog::new(),
             }
         }
     }
@@ -1237,6 +1255,9 @@ mod tests {
         fn now(&self) -> SimTime {
             SimTime(1_234_567)
         }
+        fn note_truth(&mut self, value: &str, truth: TokenTruth) {
+            self.truth.note(value, truth);
+        }
     }
 
     #[test]
@@ -1244,9 +1265,11 @@ mod tests {
         let web = tiny_world();
         let mut rng = DetRng::new(1);
         let req = Request::navigation(Url::parse("https://www.dailynews.com/").unwrap());
+        let mut truth = TruthLog::new();
         let mut ctx = ServeCtx {
             rng: &mut rng,
             now: SimTime::EPOCH,
+            truth: &mut truth,
         };
         let resp = web.serve(&req, &mut ctx).unwrap();
         assert!(is_renderable(&resp));
@@ -1265,9 +1288,11 @@ mod tests {
         let mut rng = DetRng::new(1);
         let mut req = Request::navigation(Url::parse("https://www.dailynews.com/").unwrap());
         req.headers.set(names::COOKIE, "_site_uid=existing123");
+        let mut truth = TruthLog::new();
         let mut ctx = ServeCtx {
             rng: &mut rng,
             now: SimTime::EPOCH,
+            truth: &mut truth,
         };
         let resp = web.serve(&req, &mut ctx).unwrap();
         assert!(resp
@@ -1281,9 +1306,11 @@ mod tests {
         let web = tiny_world();
         let mut rng = DetRng::new(1);
         let req = Request::navigation(Url::parse("https://nowhere.example/").unwrap());
+        let mut truth = TruthLog::new();
         let mut ctx = ServeCtx {
             rng: &mut rng,
             now: SimTime::EPOCH,
+            truth: &mut truth,
         };
         assert!(matches!(
             web.serve(&req, &mut ctx),
@@ -1358,9 +1385,11 @@ mod tests {
 
         // Hop 1.
         let mut rng = DetRng::new(77);
+        let mut truth = TruthLog::new();
         let mut ctx = ServeCtx {
             rng: &mut rng,
             now: SimTime::EPOCH,
+            truth: &mut truth,
         };
         let req1 = Request {
             kind: RequestKind::Navigation,
@@ -1396,9 +1425,11 @@ mod tests {
     fn redirector_recognizes_returning_user() {
         let web = tiny_world();
         let mut rng = DetRng::new(5);
+        let mut truth = TruthLog::new();
         let mut ctx = ServeCtx {
             rng: &mut rng,
             now: SimTime::EPOCH,
+            truth: &mut truth,
         };
         let mut u = Url::https("adclick.g.clicktrk.net", "/r");
         u.query_set(P_DEST, "https://www.megashop.com/");
@@ -1439,17 +1470,34 @@ mod tests {
         let web = tiny_world();
         let mut host = TestHost::new("https://www.dailynews.com/", 21);
         web.load_page(&host.url.clone(), &mut host).unwrap();
-        let truth = web.truth_snapshot();
-        assert!(truth.uid_count() >= 1, "tracker UID should be labeled");
+        assert!(host.truth.uid_count() >= 1, "tracker UID should be labeled");
+        let mut rng = DetRng::new(1);
+        let mut truth = TruthLog::new();
+        let req = Request::navigation(Url::parse("https://www.dailynews.com/").unwrap());
+        let mut ctx = ServeCtx {
+            rng: &mut rng,
+            now: SimTime::EPOCH,
+            truth: &mut truth,
+        };
+        web.serve(&req, &mut ctx).unwrap();
+        assert_eq!(truth.uid_count(), 1, "the site's own UID is labeled");
+        assert!(
+            web.truth_snapshot().is_empty(),
+            "a mint reached the world's ledger"
+        );
+        web.absorb_truth_owned(truth);
+        assert_eq!(web.with_truth(TruthLog::uid_count), 1);
     }
 
     #[test]
     fn beacon_endpoint_answers_empty() {
         let web = tiny_world();
         let mut rng = DetRng::new(1);
+        let mut truth = TruthLog::new();
         let mut ctx = ServeCtx {
             rng: &mut rng,
             now: SimTime::EPOCH,
+            truth: &mut truth,
         };
         let req =
             Request::subresource(Url::parse("https://adclick.g.clicktrk.net/b?gclid=x").unwrap());
@@ -1462,9 +1510,11 @@ mod tests {
     fn hop_without_dest_is_not_found() {
         let web = tiny_world();
         let mut rng = DetRng::new(1);
+        let mut truth = TruthLog::new();
         let mut ctx = ServeCtx {
             rng: &mut rng,
             now: SimTime::EPOCH,
+            truth: &mut truth,
         };
         let req = Request::navigation(Url::parse("https://adclick.g.clicktrk.net/click").unwrap());
         let resp = web.serve(&req, &mut ctx).unwrap();
@@ -1582,9 +1632,11 @@ mod tests {
     fn consent_banner_sets_first_party_cookie_once() {
         let web = species_world();
         let mut rng = DetRng::new(3);
+        let mut truth = TruthLog::new();
         let mut ctx = ServeCtx {
             rng: &mut rng,
             now: SimTime::EPOCH,
+            truth: &mut truth,
         };
         let url = Url::parse("https://www.portal.com/").unwrap();
         let resp = web.serve(&Request::navigation(url.clone()), &mut ctx).unwrap();
@@ -1632,9 +1684,11 @@ mod tests {
         let click_uid = click.query_get("rmt_rid").expect("Full span decorates").to_string();
 
         let mut rng = DetRng::new(29);
+        let mut truth = TruthLog::new();
         let mut ctx = ServeCtx {
             rng: &mut rng,
             now: SimTime::EPOCH,
+            truth: &mut truth,
         };
         let resp = web.serve(&Request::navigation(click), &mut ctx).unwrap();
         let onward = resp.redirect_target().expect("302 to destination");

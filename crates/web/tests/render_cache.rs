@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use cc_net::SimTime;
 use cc_url::Url;
 use cc_util::DetRng;
-use cc_web::{generate, ScriptHost, SimWeb, StorageKind, WebConfig};
+use cc_web::{generate, ScriptHost, SimWeb, StorageKind, TokenTruth, TruthLog, WebConfig};
 
 /// A minimal deterministic ScriptHost that records every script effect.
 struct RecordingHost {
@@ -24,6 +24,7 @@ struct RecordingHost {
     beacons: Vec<Url>,
     writes: Vec<(String, String)>,
     fp: u64,
+    truth: TruthLog,
 }
 
 impl RecordingHost {
@@ -35,6 +36,7 @@ impl RecordingHost {
             beacons: Vec::new(),
             writes: Vec::new(),
             fp: 0xC0FFEE ^ seed,
+            truth: TruthLog::new(),
         }
     }
 }
@@ -61,6 +63,9 @@ impl ScriptHost for RecordingHost {
     }
     fn now(&self) -> SimTime {
         SimTime(1_700_000)
+    }
+    fn note_truth(&mut self, value: &str, truth: TokenTruth) {
+        self.truth.note(value, truth);
     }
 }
 
@@ -110,6 +115,10 @@ fn cached_and_uncached_loads_are_identical_over_1k_random_draws() {
         assert_eq!(
             host_a.beacons, host_b.beacons,
             "draw {draw}: beacons diverged on {url}"
+        );
+        assert_eq!(
+            host_a.truth, host_b.truth,
+            "draw {draw}: truth mints diverged on {url}"
         );
         // The cache must not change how much per-load randomness scripts
         // consume, or every downstream sample in a walk would shift.

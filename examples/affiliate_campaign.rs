@@ -21,7 +21,7 @@ use cc_web::campaign::{Campaign, CampaignId, UidSpan};
 use cc_web::entity::{OrgId, Organization};
 use cc_web::site::{AdSlot, LinkDecoration, Page, Site, SiteId, StaticLink};
 use cc_web::tracker::{Tracker, TrackerId, TrackerKind};
-use cc_web::{ClickTarget, ElementKind, SimWeb};
+use cc_web::{ClickTarget, ElementKind, SimWeb, TruthLog};
 
 fn tracker(id: u32, name: &str, org: OrgId, fqdn: &str, param: &str) -> Tracker {
     Tracker {
@@ -164,8 +164,12 @@ fn main() {
         FaultModel::none(DetRng::new(1)),
     );
 
+    // The ground truth of every value the user's visits mint.
+    let mut truth = TruthLog::new();
     let start = Url::parse("https://www.couponfollow-like.com/").unwrap();
-    let out = browser.navigate(start).expect("load coupon site");
+    let out = browser
+        .navigate(start, &mut truth)
+        .expect("load coupon site");
     println!("1. User lands on {}", out.final_url);
 
     // Click the decorated family link to the partner site.
@@ -178,7 +182,9 @@ fn main() {
         "2. Clicks the partner link — decorated with the site's own UID: {}",
         partner_url
     );
-    let out = browser.navigate(partner_url).expect("load partner");
+    let out = browser
+        .navigate(partner_url, &mut truth)
+        .expect("load partner");
 
     // Click the affiliate ad.
     let ad = out
@@ -192,7 +198,9 @@ fn main() {
         ClickTarget::Inert => unreachable!(),
     };
     println!("3. Clicks the affiliate ad. The UID's journey:");
-    let out = browser.navigate(click_url).expect("follow the chain");
+    let out = browser
+        .navigate(click_url, &mut truth)
+        .expect("follow the chain");
     for (i, hop) in out.hops.iter().enumerate() {
         let uid = hop
             .query()

@@ -175,7 +175,8 @@ impl Study {
 
     /// Ground-truth scorecard for the pipeline (simulator-only superpower).
     pub fn truth_score(&self) -> cc_core::truth_eval::TruthScore {
-        cc_core::truth_eval::score(&self.output.groups, &self.web.truth_snapshot())
+        self.web
+            .with_truth(|truth| cc_core::truth_eval::score(&self.output.groups, truth))
     }
 }
 
