@@ -37,10 +37,10 @@
 //!
 //! [`CrawlCheckpoint::to_json`] and [`CrawlCheckpoint::save`] write the
 //! canonical form: the header, the walks in id order, and one commit line
-//! holding the whole ledger. A running crawl writes through
-//! [`CheckpointLog`] instead, which pays only for the walks added since
-//! its previous save and their truth, and ends with the same canonical
-//! form. Nothing is fsynced: appends and rewrites alike reach the page
+//! holding the whole ledger. A running crawl writes through the log of
+//! its [`WalkSinks`](crate::WalkSinks) instead, which pays only for the
+//! walks added since its previous save and their truth, and ends with the
+//! same canonical form. Nothing is fsynced: appends and rewrites alike reach the page
 //! cache and no further.
 
 use std::borrow::Cow;
@@ -169,7 +169,6 @@ impl CrawlCheckpoint {
     /// the previous checkpoint.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CcError> {
         write_atomic(path.as_ref(), self.to_json()?.as_bytes())?;
-        cc_telemetry::counter("crawl.checkpoint.writes", 1);
         Ok(())
     }
 
@@ -354,8 +353,9 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<File, CcError> {
     Ok(file)
 }
 
-/// The one writer of a running crawl's checkpoint: [`StudyRun`]'s sinks
-/// and the cc-gaggle manager both save through it.
+/// The one writer of a running crawl's checkpoint: [`WalkSinks`] saves
+/// through it, whether its batches come from [`StudyRun`]'s workers or
+/// from the cc-gaggle manager's leases.
 ///
 /// * The run's first save writes the header, the resume base and the
 ///   first batch atomically (temp file + rename), so the checkpoint being
@@ -373,8 +373,9 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<File, CcError> {
 /// dropped on load) and refuses every later save.
 ///
 /// [`StudyRun`]: crate::StudyRun
+/// [`WalkSinks`]: crate::WalkSinks
 #[derive(Debug)]
-pub struct CheckpointLog {
+pub(crate) struct CheckpointLog {
     path: PathBuf,
     study: StudyConfig,
     /// Open from the first save on.
@@ -391,7 +392,7 @@ pub struct CheckpointLog {
 impl CheckpointLog {
     /// A log for a run of `study` at `path`. Nothing is written until the
     /// first save.
-    pub fn new(study: &StudyConfig, path: impl Into<PathBuf>) -> CheckpointLog {
+    pub(crate) fn new(study: &StudyConfig, path: impl Into<PathBuf>) -> CheckpointLog {
         CheckpointLog {
             path: path.into(),
             study: study.clone(),
@@ -408,7 +409,7 @@ impl CheckpointLog {
     /// their `failures` and `truth`, the ledger entries those walks
     /// minted. `base` is the run's resume base; only the first save
     /// writes its walks, failures and truth.
-    pub fn append<'w>(
+    pub(crate) fn append<'w>(
         &mut self,
         base: &'w CrawlCheckpoint,
         walks: impl IntoIterator<Item = &'w WalkRecord>,
@@ -458,7 +459,6 @@ impl CheckpointLog {
         self.lines.extend(lines);
         self.len += buf.len();
         self.failures.absorb(failures);
-        cc_telemetry::counter("crawl.checkpoint.writes", 1);
         Ok(())
     }
 
@@ -467,7 +467,7 @@ impl CheckpointLog {
     /// walk lines already on disk are copied by byte range, in id order,
     /// from the old file into a buffered temp file that is then renamed
     /// over it (see [`CrawlCheckpoint::to_json`] for the form).
-    pub fn finish<'w>(
+    pub(crate) fn finish<'w>(
         self,
         base: &'w CrawlCheckpoint,
         walks: impl IntoIterator<Item = &'w WalkRecord>,
@@ -502,9 +502,7 @@ impl CheckpointLog {
         }
         written?;
         std::fs::rename(&tmp, &self.path)
-            .map_err(|e| CcError::io(self.path.display().to_string(), e))?;
-        cc_telemetry::counter("crawl.checkpoint.writes", 1);
-        Ok(())
+            .map_err(|e| CcError::io(self.path.display().to_string(), e))
     }
 
     /// Write the canonical form to `tmp`: the header, the walk lines in

@@ -26,6 +26,13 @@
 //! Net effect: a [`StudyRun`] with any worker count is **bit-identical**
 //! to [`Walker::crawl`] — the parallel-equivalence integration tests
 //! assert this on serialized JSON.
+//!
+//! That accumulator is [`WalkSinks`], and it is the one sink of a study
+//! whoever crawls it: a run's workers record one walk per batch, and the
+//! cc-gaggle manager one accepted lease per batch. Both start from
+//! [`resume_plan`] and end with [`WalkSinks::finish`], so the resume
+//! base, the checkpoint cadence and log, the truth handed to the world
+//! and the assembled dataset are one code path for threads and processes.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -175,28 +182,40 @@ impl std::fmt::Debug for PublishPolicy {
     }
 }
 
-/// One finished walk: its record, the truth it minted, and its failure
-/// counters.
-struct Walked {
-    record: WalkRecord,
-    truth: TruthLog,
-    failures: FailureStats,
+/// A batch of finished walks, with their summed failure counters and the
+/// truth they minted: one walk from an executor worker, or one accepted
+/// cc-gaggle lease.
+#[derive(Debug)]
+pub struct WalkBatch {
+    /// The walks, in any order.
+    pub walks: Vec<WalkRecord>,
+    /// Their summed failure counters.
+    pub failures: FailureStats,
+    /// The ledger entries their walks minted.
+    pub truth: TruthLog,
 }
 
-/// Where every finished walk goes: workers move each one into one
-/// accumulator; every `checkpoint.every`-th completion appends the walks
-/// added since the previous save to the [`CheckpointLog`], and every
-/// `publish.every`-th completion hands a delta of the walks added since
-/// the previous publish to the [`SnapshotSink`]. One accumulator serves
-/// both cadences, so a walk is held once however many sinks are
-/// subscribed; with neither (a lease, a sink-free run) it only gathers
-/// the walks. The run's last walk is left to the final emission in
-/// [`StudyRun::run`], so no walk is emitted twice.
-struct WalkSinks<'a> {
-    checkpoint: Option<&'a CheckpointPolicy>,
-    publish: Option<&'a PublishPolicy>,
-    study: &'a StudyConfig,
-    base: &'a CrawlCheckpoint,
+/// The one accumulator of a study's finished walks, whoever crawls them:
+/// [`StudyRun`]'s workers record one walk per batch, and the cc-gaggle
+/// manager one accepted lease per batch. It owns the resume base (which
+/// carries the study) and the sink policies, and feeds the sinks as
+/// batches arrive:
+///
+/// * the study's [`CheckpointPolicy`] appends the batches added since the
+///   previous save to the checkpoint log;
+/// * a [`PublishPolicy`] hands its [`SnapshotSink`] a delta of the batches
+///   added since the previous publish.
+///
+/// A save or a publish fires when the run's walk count crosses a multiple
+/// of its `every`: never inside a batch, and never on the run's last
+/// batch, which [`WalkSinks::finish`] writes. One accumulator serves both
+/// cadences, so a batch is held once however many sinks are subscribed;
+/// with neither (a lease, a sink-free run) it only gathers the walks.
+pub struct WalkSinks {
+    /// The resume base (an empty one on a fresh start).
+    base: CrawlCheckpoint,
+    checkpoint: Option<CheckpointPolicy>,
+    publish: Option<PublishPolicy>,
     /// Walks this run crawls.
     run_walks: usize,
     acc: Mutex<Accumulated>,
@@ -204,16 +223,18 @@ struct WalkSinks<'a> {
 
 /// What the sinks have gathered, under one lock.
 struct Accumulated {
-    /// This run's walks, in completion order.
-    walks: Vec<Walked>,
+    /// This run's batches, in completion order.
+    batches: Vec<WalkBatch>,
+    /// The walks in `batches`.
+    walks: usize,
     /// The checkpoint log, when the study checkpoints.
     log: Option<CheckpointLog>,
-    /// How many of `walks` the log holds.
+    /// How many of `batches` the log holds.
     saved: usize,
-    /// How many of `walks` the snapshot sink has been handed.
+    /// How many of `batches` the snapshot sink has been handed.
     published: usize,
-    /// The merged truth of the first `retired` walks, which every sink
-    /// has taken; later walks still hold their own.
+    /// The merged truth of the first `retired` batches, which every sink
+    /// has taken; later batches still hold their own.
     truth: TruthLog,
     retired: usize,
     /// The first failed save.
@@ -221,61 +242,56 @@ struct Accumulated {
 }
 
 impl Accumulated {
-    /// Append the walks the log lacks (a no-op without a log).
+    /// Append the batches the log lacks (a no-op without a log).
     fn save(&mut self, base: &CrawlCheckpoint) -> Result<(), CcError> {
         let Some(log) = self.log.as_mut() else {
             return Ok(());
         };
-        let batch = &self.walks[self.saved..];
-        let truth = merged_truth(batch);
-        log.append(
-            base,
-            batch.iter().map(|w| &w.record),
-            failures_of(batch),
-            &truth,
-        )?;
-        cc_telemetry::counter("crawl.sink.truth_entries", truth_entries(batch));
-        self.saved = self.walks.len();
+        let unsaved = &self.batches[self.saved..];
+        let truth = merged_truth(unsaved);
+        log.append(base, walks_of(unsaved), failures_of(unsaved), &truth)?;
+        cc_telemetry::counter("crawl.sink.truth_entries", truth_entries(unsaved));
+        self.saved = self.batches.len();
         Ok(())
     }
 
     /// Copies of the walks, failure counters and truth the snapshot sink
     /// lacks; the run's first delta adds the resume base's.
-    fn delta(&mut self, base: &CrawlCheckpoint, study: &StudyConfig) -> CrawlCheckpoint {
-        let batch = &self.walks[self.published..];
-        let mut failures = failures_of(batch);
-        let mut truth = merged_truth(batch);
-        cc_telemetry::counter("crawl.sink.truth_entries", truth_entries(batch));
-        let mut walks: Vec<WalkRecord> = batch.iter().map(|w| w.record.clone()).collect();
+    fn delta(&mut self, base: &CrawlCheckpoint) -> CrawlCheckpoint {
+        let unpublished = &self.batches[self.published..];
+        let mut failures = failures_of(unpublished);
+        let mut truth = merged_truth(unpublished);
+        cc_telemetry::counter("crawl.sink.truth_entries", truth_entries(unpublished));
+        let mut walks: Vec<WalkRecord> = walks_of(unpublished).cloned().collect();
         if self.published == 0 {
             walks.extend(base.partial.walks.iter().cloned());
             failures.absorb(base.partial.failures);
             truth.merge(&base.truth);
         }
         cc_telemetry::counter("crawl.sink.walk_copies", walks.len() as u64);
-        self.published = self.walks.len();
-        CrawlCheckpoint::new(study, dataset(walks, failures), truth)
+        self.published = self.batches.len();
+        CrawlCheckpoint::new(&base.study, dataset(walks, failures), truth)
     }
 
-    /// Move the truth of the first `taken` walks into the merged ledger,
-    /// so that a walk's own ledger lives only until its sinks have it.
+    /// Move the truth of the first `taken` batches into the merged ledger,
+    /// so that a batch's own ledger lives only until its sinks have it.
     fn retire(&mut self, taken: usize) {
-        for w in &mut self.walks[self.retired..taken] {
-            self.truth.absorb(std::mem::take(&mut w.truth));
+        for b in &mut self.batches[self.retired..taken] {
+            self.truth.absorb(std::mem::take(&mut b.truth));
         }
         self.retired = taken;
     }
 
-    /// Every walk's truth, moved into one ledger.
+    /// Every batch's truth, moved into one ledger.
     fn take_truth(&mut self) -> TruthLog {
-        self.retire(self.walks.len());
+        self.retire(self.batches.len());
         std::mem::take(&mut self.truth)
     }
 
     /// The walks as one dataset, in walk-id order.
     fn into_dataset(self) -> CrawlDataset {
-        let failures = failures_of(&self.walks);
-        dataset(self.walks.into_iter().map(|w| w.record).collect(), failures)
+        let failures = failures_of(&self.batches);
+        dataset(self.batches.into_iter().flat_map(|b| b.walks).collect(), failures)
     }
 }
 
@@ -293,50 +309,65 @@ fn dataset(mut walks: Vec<WalkRecord>, failures: FailureStats) -> CrawlDataset {
     }
 }
 
-/// The summed failure counters of `walks`.
-fn failures_of(walks: &[Walked]) -> FailureStats {
+/// The walks of `batches`.
+fn walks_of(batches: &[WalkBatch]) -> impl Iterator<Item = &WalkRecord> {
+    batches.iter().flat_map(|b| &b.walks)
+}
+
+/// The summed failure counters of `batches`.
+fn failures_of(batches: &[WalkBatch]) -> FailureStats {
     let mut sum = FailureStats::default();
-    for w in walks {
-        sum.absorb(w.failures);
+    for b in batches {
+        sum.absorb(b.failures);
     }
     sum
 }
 
-/// The truth `walks` minted, merged into one ledger.
-fn merged_truth(walks: &[Walked]) -> TruthLog {
+/// The truth `batches` minted, merged into one ledger.
+fn merged_truth(batches: &[WalkBatch]) -> TruthLog {
     let mut truth = TruthLog::new();
-    for w in walks {
-        truth.merge(&w.truth);
+    for b in batches {
+        truth.merge(&b.truth);
     }
     truth
 }
 
-/// The walks' own truth entries, summed: what the
+/// The batches' own truth entries, summed: what the
 /// `crawl.sink.truth_entries` counter adds when they reach a sink, so
-/// that it does not depend on how the walks were batched.
-fn truth_entries(walks: &[Walked]) -> u64 {
-    walks.iter().map(|w| w.truth.len() as u64).sum()
+/// that it does not depend on when the sinks fired.
+fn truth_entries(batches: &[WalkBatch]) -> u64 {
+    batches.iter().map(|b| b.truth.len() as u64).sum()
 }
 
-impl<'a> WalkSinks<'a> {
-    /// The sinks of a run of `run_walks` walks over `base`: a log when
-    /// `checkpoint` is given, a publish sink when `publish` is.
-    fn new(
-        study: &'a StudyConfig,
-        base: &'a CrawlCheckpoint,
+impl WalkSinks {
+    /// The sinks of a study run over `base` (see [`resume_plan`]) that
+    /// crawls `run_walks` walks: the study's checkpoint log when it has a
+    /// [`CheckpointPolicy`], and `publish` when given.
+    pub fn new(base: CrawlCheckpoint, run_walks: usize, publish: Option<PublishPolicy>) -> Self {
+        let checkpoint = base.study.checkpoint.clone();
+        WalkSinks::with(base, run_walks, checkpoint, publish)
+    }
+
+    /// [`WalkSinks::new`] with the checkpoint policy given, not the
+    /// study's: a lease passes none.
+    fn with(
+        base: CrawlCheckpoint,
         run_walks: usize,
-        checkpoint: Option<&'a CheckpointPolicy>,
-        publish: Option<&'a PublishPolicy>,
+        checkpoint: Option<CheckpointPolicy>,
+        publish: Option<PublishPolicy>,
     ) -> Self {
+        let log = checkpoint
+            .as_ref()
+            .map(|p| CheckpointLog::new(&base.study, &p.path));
         WalkSinks {
+            base,
             checkpoint,
             publish,
-            study,
-            base,
             run_walks,
             acc: Mutex::new(Accumulated {
-                walks: Vec::with_capacity(run_walks),
-                log: checkpoint.map(|p| CheckpointLog::new(study, &p.path)),
+                batches: Vec::new(),
+                walks: 0,
+                log,
                 saved: 0,
                 published: 0,
                 truth: TruthLog::new(),
@@ -346,50 +377,130 @@ impl<'a> WalkSinks<'a> {
         }
     }
 
-    fn record(&self, walked: Walked) {
-        // A poisoned accumulator means a sink panicked on another worker,
-        // which reports the failure; this walk has nowhere to go.
+    /// Take one batch of finished walks, firing each sink whose cadence
+    /// the batch crosses. A failed save is kept for [`WalkSinks::finish`]
+    /// to return; a panicking snapshot sink unwinds into the caller.
+    pub fn record(&self, batch: WalkBatch) {
+        // A poisoned accumulator means a sink panicked on another thread,
+        // which reports the failure; this batch has nowhere to go.
         let Ok(mut acc) = self.acc.lock() else {
             return;
         };
-        acc.walks.push(walked);
-        let done = acc.walks.len();
+        let before = acc.walks;
+        acc.walks += batch.walks.len();
+        acc.batches.push(batch);
+        let done = acc.walks;
+        let due = |every: usize| {
+            done < self.run_walks && (before + 1..=done).any(|n| n.is_multiple_of(every))
+        };
         // Emit while still holding the lock: appends to the log must not
         // interleave, and serialized emission hands the sink its deltas
         // in order.
-        if done < self.run_walks {
-            if self
-                .checkpoint
-                .is_some_and(|p| done.is_multiple_of(p.every))
-            {
-                if let Err(e) = acc.save(self.base) {
-                    acc.error.get_or_insert(e);
-                }
-            }
-            if let Some(policy) = self.publish.filter(|p| done.is_multiple_of(p.every)) {
-                let delta = acc.delta(self.base, self.study);
-                policy.sink.publish(delta);
+        if self.checkpoint.as_ref().is_some_and(|p| due(p.every)) {
+            if let Err(e) = acc.save(&self.base) {
+                acc.error.get_or_insert(e);
             }
         }
-        // With no sink, every walk is taken as it arrives.
-        let saved = self.checkpoint.map(|_| acc.saved);
-        let published = self.publish.map(|_| acc.published);
-        let taken = saved.into_iter().chain(published).min().unwrap_or(done);
+        if let Some(policy) = self.publish.as_ref().filter(|p| due(p.every)) {
+            let delta = acc.delta(&self.base);
+            policy.sink.publish(delta);
+        }
+        // With no sink, every batch is taken as it arrives.
+        let saved = self.checkpoint.as_ref().map(|_| acc.saved);
+        let published = self.publish.as_ref().map(|_| acc.published);
+        let taken = saved
+            .into_iter()
+            .chain(published)
+            .min()
+            .unwrap_or(acc.batches.len());
         acc.retire(taken);
     }
 
-    /// The accumulator, once every worker is done; a failed save is the
-    /// run's error.
-    fn into_accumulated(self) -> Result<Accumulated, CcError> {
-        let mut acc = self
-            .acc
-            .into_inner()
-            .expect("a sink panic fails the crawl before the accumulator is read");
-        match acc.error.take() {
-            Some(e) => Err(e),
-            None => Ok(acc),
+    /// End the study: the walks' truth and the resume base's go into
+    /// `web`'s ledger, the log gets its canonical rewrite, the snapshot
+    /// sink its final delta, and the walks merge with the base into the
+    /// study's dataset. A failed save is the study's error, and so is a
+    /// panic in the final publish: a [`CcError::Panic`] naming the run's
+    /// last walk.
+    pub fn finish(self, web: &SimWeb) -> Result<CrawlDataset, CcError> {
+        let WalkSinks {
+            base, publish, acc, ..
+        } = self;
+        let mut acc = accumulated(acc)?;
+        // Final emission: a crawl stopped between intervals (or drained by
+        // stop_after) still leaves a current checkpoint behind, and the
+        // sink's deltas always end holding every walk run.
+        let last_delta = publish.as_ref().map(|_| acc.delta(&base));
+        if acc.log.is_some() {
+            // The last batches' truth reaches the log in the whole ledger.
+            let entries = truth_entries(&acc.batches[acc.saved..]);
+            cc_telemetry::counter("crawl.sink.truth_entries", entries);
         }
+        // The world's ledger made whole, once: every batch's truth moves
+        // in, with the resume base's.
+        let mut truth = acc.take_truth();
+        truth.merge(&base.truth);
+        web.absorb_truth_owned(truth);
+        if let Some(log) = acc.log.take() {
+            let unsaved = &acc.batches[acc.saved..];
+            let failures = failures_of(unsaved);
+            web.with_truth(|whole| log.finish(&base, walks_of(unsaved), failures, whole))?;
+        }
+        if let (Some(policy), Some(delta)) = (&publish, last_delta) {
+            let last = walks_of(&acc.batches).last().map(|w| w.walk_id);
+            catch_unwind(AssertUnwindSafe(|| policy.sink.publish(delta)))
+                .map_err(|payload| panicked(last, &*payload))?;
+        }
+        Ok(CrawlDataset::merge([base.partial, acc.into_dataset()]))
     }
+
+    /// End a lease: its dataset and the truth its walks minted.
+    fn into_lease(self) -> Result<(CrawlDataset, TruthLog), CcError> {
+        let mut acc = accumulated(self.acc)?;
+        let truth = acc.take_truth();
+        Ok((acc.into_dataset(), truth))
+    }
+}
+
+/// The accumulator, once every producer is done; a failed save is the
+/// run's error.
+fn accumulated(acc: Mutex<Accumulated>) -> Result<Accumulated, CcError> {
+    let mut acc = acc
+        .into_inner()
+        .expect("a sink panic fails the crawl before the accumulator is read");
+    match acc.error.take() {
+        Some(e) => Err(e),
+        None => Ok(acc),
+    }
+}
+
+/// Where a run of `study` starts, over a world of `seeders` seeder URLs:
+/// its resume base and the walk ids it still has to crawl, in id order
+/// and each below `seeders`. A fresh start has an empty base and every
+/// walk of the study. A `resume` checkpoint is first validated against
+/// the study, and the `crawl.resume.*` counters record how many walks it
+/// restores and how many remain. [`StudyRun::run`] and the cc-gaggle
+/// manager both start here.
+pub fn resume_plan(
+    study: &StudyConfig,
+    seeders: usize,
+    resume: Option<CrawlCheckpoint>,
+) -> Result<(CrawlCheckpoint, Vec<u32>), CcError> {
+    let (base, mut ids) = match resume {
+        Some(ck) => {
+            ck.validate_against(study)?;
+            let remaining = ck.remaining();
+            cc_telemetry::counter("crawl.resume.walks_restored", ck.partial.walks.len() as u64);
+            cc_telemetry::counter("crawl.resume.walks_remaining", remaining.len() as u64);
+            (ck, remaining)
+        }
+        None => (
+            CrawlCheckpoint::new(study, CrawlDataset::default(), TruthLog::new()),
+            (0..study.total_walks().min(seeders) as u32).collect(),
+        ),
+    };
+    ids.retain(|&id| (id as usize) < seeders);
+    Ok((base, ids))
 }
 
 /// Run (or resume) a whole study through the work-stealing executor.
@@ -489,64 +600,13 @@ impl<'a> StudyRun<'a> {
             publish,
             progress,
         } = self;
-        let seeders = web.seeder_urls();
-        let total = study.total_walks().min(seeders.len());
-
-        let (base, mut ids) = match resume {
-            Some(ck) => {
-                ck.validate_against(study)?;
-                let remaining = ck.remaining();
-                cc_telemetry::counter("crawl.resume.walks_restored", ck.partial.walks.len() as u64);
-                cc_telemetry::counter("crawl.resume.walks_remaining", remaining.len() as u64);
-                (ck, remaining)
-            }
-            None => (
-                CrawlCheckpoint::new(study, CrawlDataset::default(), TruthLog::new()),
-                (0..total as u32).collect(),
-            ),
-        };
-        ids.retain(|&id| (id as usize) < seeders.len());
+        let (base, mut ids) = resume_plan(study, web.seeder_urls().len(), resume)?;
         if let Some(n) = stop_after {
             ids.truncate(n);
         }
-
-        let sinks = WalkSinks::new(
-            study,
-            &base,
-            ids.len(),
-            study.checkpoint.as_ref(),
-            publish.as_ref(),
-        );
+        let sinks = WalkSinks::new(base, ids.len(), publish);
         crawl_ids(web, study, &ids, progress, &sinks)?;
-        let mut acc = sinks.into_accumulated()?;
-
-        // Final emission: a crawl stopped between intervals (or drained by
-        // stop_after) still leaves a current checkpoint behind, and the
-        // sink's deltas always end holding every walk run.
-        let last_delta = publish.as_ref().map(|_| acc.delta(&base, study));
-        if acc.log.is_some() {
-            // The last batch's truth reaches the log in the whole ledger.
-            let entries = truth_entries(&acc.walks[acc.saved..]);
-            cc_telemetry::counter("crawl.sink.truth_entries", entries);
-        }
-        // The world's ledger made whole, once: every walk's truth moves
-        // in, with the resume base's.
-        let mut truth = acc.take_truth();
-        truth.merge(&base.truth);
-        web.absorb_truth_owned(truth);
-        if let Some(log) = acc.log.take() {
-            let unsaved = &acc.walks[acc.saved..];
-            let failures = failures_of(unsaved);
-            web.with_truth(|whole| {
-                log.finish(&base, unsaved.iter().map(|w| &w.record), failures, whole)
-            })?;
-        }
-        if let (Some(policy), Some(delta)) = (&publish, last_delta) {
-            let last = acc.walks.last().map(|w| w.record.walk_id);
-            catch_unwind(AssertUnwindSafe(|| policy.sink.publish(delta)))
-                .map_err(|payload| panicked(last, &*payload))?;
-        }
-        Ok(CrawlDataset::merge([base.partial, acc.into_dataset()]))
+        sinks.finish(web)
     }
 
     /// Crawl exactly the walk ids `ids` of the study: the run a cc-gaggle
@@ -573,11 +633,9 @@ impl<'a> StudyRun<'a> {
             .filter(|&id| (id as usize) < n_seeders)
             .collect();
         let base = CrawlCheckpoint::new(self.study, CrawlDataset::default(), TruthLog::new());
-        let sinks = WalkSinks::new(self.study, &base, ids.len(), None, None);
+        let sinks = WalkSinks::with(base, ids.len(), None, None);
         crawl_ids(self.web, self.study, &ids, self.progress, &sinks)?;
-        let mut acc = sinks.into_accumulated()?;
-        let truth = acc.take_truth();
-        Ok((acc.into_dataset(), truth))
+        sinks.into_lease()
     }
 
     /// Refuse progress counters sized for another worker count: their
@@ -615,7 +673,7 @@ fn crawl_ids(
     study: &StudyConfig,
     ids: &[u32],
     progress: Option<&ProgressCounters>,
-    sinks: &WalkSinks<'_>,
+    sinks: &WalkSinks,
 ) -> Result<(), CcError> {
     let seeders = web.seeder_urls();
     let queue = WalkQueue::new(ids.len(), study.workers);
@@ -660,10 +718,10 @@ fn crawl_ids(
                             if let Some(p) = progress {
                                 p.record_walk(worker, record.steps.len() as u64);
                             }
-                            sinks.record(Walked {
-                                record,
-                                truth,
+                            sinks.record(WalkBatch {
+                                walks: vec![record],
                                 failures,
+                                truth,
                             });
                         }));
                         if let Err(payload) = ran {
@@ -1136,6 +1194,89 @@ mod tests {
         // Five intermediate commits (2..=10 walks), then the final delta
         // after the canonical rewrite.
         assert_eq!(*reader.checked.lock().unwrap(), 6);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Each batch of the log at `path`, as its commit line closes it: the
+    /// batch's walk ids (sorted), failure counters and truth.
+    fn commits(path: &str) -> Vec<(Vec<u32>, FailureStats, TruthLog)> {
+        #[derive(serde::Deserialize)]
+        struct CommitLine {
+            commit: Commit,
+        }
+        #[derive(serde::Deserialize)]
+        struct Commit {
+            failures: FailureStats,
+            truth: TruthLog,
+        }
+        let log = std::fs::read_to_string(path).unwrap_or_default();
+        let mut out = Vec::new();
+        let mut ids = Vec::new();
+        for line in log.lines().skip(1) {
+            if line.starts_with("{\"commit\":") {
+                let CommitLine { commit } = serde_json::from_str(line).unwrap();
+                ids.sort_unstable();
+                out.push((std::mem::take(&mut ids), commit.failures, commit.truth));
+            } else {
+                ids.push(serde_json::from_str::<WalkRecord>(line).unwrap().walk_id);
+            }
+        }
+        out
+    }
+
+    /// The batch twin of `intermediate_commits_hold_only_their_walks_truth`:
+    /// fed lease-sized batches, the accumulator commits only at the end of
+    /// a batch that takes the run's walk count across a multiple of
+    /// `every`, and each commit holds exactly its batches' walks, failure
+    /// counters and truth, the first also the resume base's.
+    #[test]
+    fn lease_batches_commit_where_the_walk_count_crosses_the_cadence() {
+        let path = scratch_path("cc-exec-batch-cadence");
+        let study = faulty_study(2, Some((&path, 3)));
+        let web_full = generate(&study.web);
+        let full = crawl_study(&web_full, &study).unwrap();
+        let canonical = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+
+        // Resume from walks 0 and 1, then feed the other ten as five
+        // two-walk leases.
+        let web = generate(&study.web);
+        let (done, truth) = StudyRun::new(&web, &study).lease(&[0, 1]).unwrap();
+        let resume = CrawlCheckpoint::new(&study, done, truth);
+        let (base, ids) =
+            resume_plan(&study, web.seeder_urls().len(), Some(resume.clone())).unwrap();
+        assert_eq!(ids, (2..12).collect::<Vec<u32>>());
+        let sinks = WalkSinks::new(base, ids.len(), None);
+        let mut pending = (
+            vec![0, 1],
+            resume.partial.failures,
+            resume.truth.clone(),
+        );
+        let mut expected = Vec::new();
+        for (i, lease) in ids.chunks(2).enumerate() {
+            let (shard, truth) = StudyRun::new(&web, &study).lease(lease).unwrap();
+            pending.0.extend(lease);
+            pending.1.absorb(shard.failures);
+            pending.2.merge(&truth);
+            sinks.record(WalkBatch {
+                walks: shard.walks,
+                failures: shard.failures,
+                truth,
+            });
+            // 4 walks cross 3 and 6 cross 6; 10, the run's last batch, is
+            // left to finish.
+            let walks = 2 * (i + 1);
+            if walks == 4 || walks == 6 {
+                expected.push(std::mem::take(&mut pending));
+            }
+            assert_eq!(commits(&path), expected, "after {walks} walks");
+        }
+        assert_eq!(expected.len(), 2);
+
+        let ds = sinks.finish(&web).unwrap();
+        assert_eq!(ds.to_json().unwrap(), full.to_json().unwrap());
+        assert_eq!(std::fs::read(&path).unwrap(), canonical);
+        assert_eq!(web.truth_snapshot(), web_full.truth_snapshot());
         std::fs::remove_file(&path).ok();
     }
 

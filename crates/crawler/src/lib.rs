@@ -37,9 +37,11 @@ pub mod names;
 pub mod record;
 pub mod walker;
 
-pub use checkpoint::{CheckpointLog, CrawlCheckpoint, CHECKPOINT_SCHEMA};
+pub use checkpoint::{CrawlCheckpoint, CHECKPOINT_SCHEMA};
 pub use config::{CheckpointPolicy, ServePolicy, StudyConfig, StudyConfigBuilder};
-pub use executor::{crawl_study, PublishPolicy, SnapshotSink, StudyRun};
+pub use executor::{
+    crawl_study, resume_plan, PublishPolicy, SnapshotSink, StudyRun, WalkBatch, WalkSinks,
+};
 pub use matching::{same_element, select_shared};
 pub use names::{CrawlerName, UserId};
 pub use record::{

@@ -10,19 +10,23 @@
 //!   transport-error classification.
 //! * [`manager`] — partitions the walk-id space into leases, streams them
 //!   to workers, expires and re-issues leases whose holder dies (fresh
-//!   lease ids make stale "zombie" results droppable), and assembles the
-//!   shards through the same deterministic merge a single-process run
-//!   uses — so the output is byte-identical at any worker count, any
-//!   lease interleaving, and any kill history.
+//!   lease ids make stale "zombie" results droppable), and records each
+//!   accepted shard into the accumulator a single-process run uses — so
+//!   the output is byte-identical at any worker count, any lease
+//!   interleaving, and any kill history.
 //! * [`worker`] — dials in, regenerates the world from the Welcome's
 //!   study config, crawls each lease through the existing parallel
 //!   executor, and ships each lease's dataset shard and the truth its
 //!   walks minted back.
 //!
-//! Checkpoint/resume shares cc-crawler's `cc-checkpoint/v2` writer
-//! ([`cc_crawler::CheckpointLog`]): the manager appends accepted shards on
-//! the study's checkpoint policy, ends with the same canonical file a
-//! single-process run writes, and resumes from either.
+//! The manager keeps no sink of its own. It starts from cc-crawler's
+//! [`resume_plan`](cc_crawler::resume_plan) and records each accepted
+//! lease as one batch into the [`WalkSinks`](cc_crawler::WalkSinks)
+//! accumulator a single-process run uses. So checkpoint and resume work
+//! as they do in one process: the `cc-checkpoint/v2` log commits on the
+//! study's cadence, counted in the run's walks at lease boundaries, the
+//! run ends in the same canonical file, dataset and truth ledger a
+//! single-process run leaves behind, and it resumes from either's log.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -176,6 +180,61 @@ mod tests {
             solo,
             "checkpoint bytes diverged"
         );
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A manager resumed from the log of a killed single-process run ends
+    /// where the uninterrupted run does: the same dataset bytes, the same
+    /// canonical checkpoint bytes and the same truth ledger.
+    #[test]
+    fn manager_resumes_a_single_process_log_to_the_same_bytes() {
+        let path = std::env::temp_dir().join(format!("cc-gaggle-resume-{}.ccp", std::process::id()));
+        let mut study = small_study(2);
+        study.checkpoint = Some(cc_crawler::CheckpointPolicy {
+            path: path.to_str().unwrap().to_string(),
+            every: 3,
+        });
+        let web = generate(&study.web);
+        let full = crawl_study(&web, &study).unwrap();
+        let canonical = std::fs::read(&path).unwrap();
+
+        cc_crawler::StudyRun::new(&generate(&study.web), &study)
+            .stop_after(5)
+            .run()
+            .unwrap();
+        let ck = cc_crawler::CrawlCheckpoint::load(&path).unwrap();
+        assert_eq!(ck.partial.walks.len(), 5);
+        let manager = Manager::start(
+            &study,
+            GaggleConfig {
+                lease_walks: 2,
+                ..GaggleConfig::default()
+            },
+            ManagerOptions {
+                resume: Some(ck),
+                progress: None,
+            },
+        )
+        .unwrap();
+        let cfg = WorkerConfig {
+            connect: manager.addr().to_string(),
+            label: "resume".into(),
+        };
+        let worker = std::thread::spawn(move || run_worker(&cfg));
+        let outcome = manager.join().unwrap();
+        assert_eq!(worker.join().unwrap().unwrap().walks, 12 - 5);
+        assert_eq!(outcome.stats.leases_completed, 4);
+        assert_eq!(
+            outcome.dataset.to_json().unwrap(),
+            full.to_json().unwrap(),
+            "resumed dataset bytes diverged"
+        );
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            canonical,
+            "resumed checkpoint bytes diverged"
+        );
+        assert_eq!(outcome.web.truth_snapshot(), web.truth_snapshot());
         std::fs::remove_file(&path).ok();
     }
 

@@ -10,20 +10,20 @@
 //! re-issue and dropped instead of double-counted.
 //!
 //! Determinism is the point: every walk is a pure function of
-//! `(StudyConfig, walk_id)`, shards merge through the same
-//! [`CrawlDataset::merge`] a single-process run uses, and truth-ledger
-//! merging is idempotent — so the assembled dataset, report, and final
-//! checkpoint are byte-identical to a single-process run at any worker
-//! count, any lease interleaving, and any kill/re-issue history.
+//! `(StudyConfig, walk_id)`, and the manager has no sink of its own. It
+//! plans its run with [`resume_plan`] and records each accepted lease as
+//! one batch into the same [`WalkSinks`] accumulator a single-process run
+//! uses, which checkpoints on the study's cadence and assembles the
+//! dataset, the truth ledger and the final checkpoint — so they are
+//! byte-identical to a single-process run at any worker count, any lease
+//! interleaving, and any kill/re-issue history.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use cc_crawler::{
-    CheckpointLog, CrawlCheckpoint, CrawlDataset, FailureStats, StudyConfig, WalkRecord,
-};
+use cc_crawler::{resume_plan, CrawlCheckpoint, CrawlDataset, StudyConfig, WalkBatch, WalkSinks};
 use cc_telemetry::CounterId;
 use cc_util::{CcError, ProgressCounters};
 use cc_web::{generate, SimWeb, TruthLog};
@@ -121,50 +121,18 @@ struct OutstandingLease {
     deadline: Instant,
 }
 
-/// Everything the handler threads share, guarded by one mutex + condvar.
+/// The lease book the handler threads share, guarded by one mutex +
+/// condvar.
 struct LeaseState {
     pending: VecDeque<PendingLease>,
     outstanding: BTreeMap<u64, OutstandingLease>,
     next_lease_id: u64,
     done: bool,
-    /// The resume base (empty on a fresh run).
-    base: CrawlCheckpoint,
-    shards: Vec<CrawlDataset>,
-    /// The truth of the shards accepted since the last save.
-    unsaved_truth: TruthLog,
-    walks_done: usize,
-    last_saved_bucket: usize,
-    /// The checkpoint log, when the study checkpoints.
-    log: Option<CheckpointLog>,
-    /// How many of `shards` the log holds.
-    saved_shards: usize,
     stats: GaggleStats,
     error: Option<CcError>,
 }
 
-impl LeaseState {
-    /// Append the accepted shards the log lacks, with their truth.
-    fn save(&mut self) -> Result<(), CcError> {
-        let Some(log) = self.log.as_mut() else {
-            return Ok(());
-        };
-        let (walks, failures) = walks_of(&self.shards[self.saved_shards..]);
-        log.append(&self.base, walks, failures, &self.unsaved_truth)?;
-        self.saved_shards = self.shards.len();
-        self.unsaved_truth = TruthLog::new();
-        Ok(())
-    }
-}
-
-/// The walks of `shards` and their summed failure counters.
-fn walks_of(shards: &[CrawlDataset]) -> (impl Iterator<Item = &WalkRecord>, FailureStats) {
-    let mut failures = FailureStats::default();
-    for shard in shards {
-        failures.absorb(shard.failures);
-    }
-    (shards.iter().flat_map(|s| &s.walks), failures)
-}
-
+/// Everything the run shares with its handler threads.
 struct Shared {
     study: StudyConfig,
     web: Arc<SimWeb>,
@@ -172,6 +140,8 @@ struct Shared {
     progress: Option<Arc<ProgressCounters>>,
     state: Mutex<LeaseState>,
     cv: Condvar,
+    /// The study's accumulator: one batch per accepted lease.
+    sinks: WalkSinks,
 }
 
 impl Shared {
@@ -309,14 +279,9 @@ impl Shared {
         }
     }
 
-    /// Accept (or drop) a ShardResult. Returns `true` if accepted.
-    fn accept_result(
-        &self,
-        worker: u32,
-        lease_id: u64,
-        shard: CrawlDataset,
-        truth: &TruthLog,
-    ) -> bool {
+    /// Accept a ShardResult into the study's accumulator, or drop it as a
+    /// zombie's.
+    fn accept_result(&self, worker: u32, lease_id: u64, shard: CrawlDataset, truth: &TruthLog) {
         let mut st = self.lock();
         let live = st
             .outstanding
@@ -327,51 +292,33 @@ impl Shared {
             // existed). Accepting it would double-count the walks.
             st.stats.results_dropped_stale += 1;
             cc_telemetry::counter_id(CounterId::GAGGLE_RESULTS_DROPPED_STALE, 1);
-            return false;
+            return;
         }
         st.outstanding.remove(&lease_id);
         st.stats.leases_completed += 1;
         cc_telemetry::counter_id(CounterId::GAGGLE_LEASES_COMPLETED, 1);
-
-        // Each lease's truth is what its walks minted; the leases'
-        // union, with the world's generation-time entries, is the
-        // single-process ledger. The entries are copied in rather than
-        // moved: kept, the decoded frame's strings raised the peak RSS of
-        // a 250-walk, two-worker gaggle.
-        if st.log.is_some() {
-            st.unsaved_truth.merge(truth);
-        }
-        self.web.absorb_truth(truth);
         if let Some(p) = &self.progress {
             let slot = worker as usize % p.n_workers().max(1);
             for walk in &shard.walks {
                 p.record_walk(slot, walk.steps.len() as u64);
             }
         }
-        st.walks_done += shard.walks.len();
-        st.shards.push(shard);
-
-        // Periodic checkpoint on the same config knob a single-process
-        // run uses, appending the shards accepted since the last save.
-        // Cadence is per accepted lease (not per walk), so intermediate
-        // files differ run-to-run — only the final artifacts are
-        // byte-pinned, and the final checkpoint is written at join.
-        if let Some(policy) = &self.study.checkpoint {
-            let total = st.base.partial.walks.len() + st.walks_done;
-            let bucket = total / policy.every.max(1);
-            if bucket > st.last_saved_bucket {
-                st.last_saved_bucket = bucket;
-                if let Err(e) = st.save() {
-                    st.error.get_or_insert(e);
-                }
-            }
-        }
-
         if st.pending.is_empty() && st.outstanding.is_empty() {
             st.done = true;
         }
         self.cv.notify_all();
-        true
+        drop(st);
+
+        // The lease is one batch of the study, checkpointed on the same
+        // cadence as a single-process run's walks (intermediate commits
+        // follow lease completion order, so only the final artifacts are
+        // byte-pinned). Its truth is a copy: kept, the decoded frame's
+        // strings raised the peak RSS of a 250-walk, two-worker gaggle.
+        self.sinks.record(WalkBatch {
+            walks: shard.walks,
+            failures: shard.failures,
+            truth: truth.clone(),
+        });
     }
 }
 
@@ -391,49 +338,21 @@ impl Manager {
     ) -> Result<Manager, CcError> {
         study.validate()?;
         let web = Arc::new(generate(&study.web));
-        let seeders_len = web.seeder_urls().len();
-        let total = study.total_walks().min(seeders_len);
+        let (base, ids) = resume_plan(study, web.seeder_urls().len(), opts.resume)?;
+        let sinks = WalkSinks::new(base, ids.len(), None);
 
-        let (base, mut ids) = match opts.resume {
-            Some(ck) => {
-                ck.validate_against(study)?;
-                web.absorb_truth(&ck.truth);
-                let remaining = ck.remaining();
-                cc_telemetry::counter("crawl.resume.walks_restored", ck.partial.walks.len() as u64);
-                cc_telemetry::counter("crawl.resume.walks_remaining", remaining.len() as u64);
-                (ck, remaining)
-            }
-            None => (
-                CrawlCheckpoint::new(study, CrawlDataset::default(), TruthLog::new()),
-                (0..total as u32).collect(),
-            ),
-        };
-        ids.retain(|&id| (id as usize) < seeders_len);
-
-        let lease_walks = cfg.lease_walks.max(1);
         let pending: VecDeque<PendingLease> = ids
-            .chunks(lease_walks)
+            .chunks(cfg.lease_walks.max(1))
             .map(|c| PendingLease {
                 ids: c.to_vec(),
                 reissue: false,
             })
             .collect();
-        let every = study.checkpoint.as_ref().map_or(1, |p| p.every.max(1));
         let state = LeaseState {
             done: pending.is_empty(),
             pending,
             outstanding: BTreeMap::new(),
             next_lease_id: 1,
-            last_saved_bucket: base.partial.walks.len() / every,
-            log: study
-                .checkpoint
-                .as_ref()
-                .map(|p| CheckpointLog::new(study, &p.path)),
-            saved_shards: 0,
-            base,
-            shards: Vec::new(),
-            unsaved_truth: TruthLog::new(),
-            walks_done: 0,
             stats: GaggleStats::default(),
             error: None,
         };
@@ -451,14 +370,15 @@ impl Manager {
         if let Some(p) = &opts.progress {
             p.start_clock();
         }
-        let shared = Arc::new(Shared {
+        let shared = Shared {
             study: study.clone(),
             web,
             cfg,
             progress: opts.progress,
             state: Mutex::new(state),
             cv: Condvar::new(),
-        });
+            sinks,
+        };
         let thread = std::thread::spawn(move || run_manager(listener, shared));
         Ok(Manager { addr, thread })
     }
@@ -474,60 +394,55 @@ impl Manager {
     }
 }
 
-fn run_manager(
-    listener: TcpListener,
-    shared: Arc<Shared>,
-) -> Result<ManagerOutcome, CcError> {
-    let mut handlers = Vec::new();
-    let mut next_worker_id = 0u32;
-    while !shared.done() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let worker_id = next_worker_id;
-                next_worker_id += 1;
-                let sh = Arc::clone(&shared);
-                handlers.push(std::thread::spawn(move || handle_worker(sh, stream, worker_id)));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(e) => {
-                let mut st = shared.lock();
-                st.error.get_or_insert(CcError::io("gaggle accept", e));
-                st.done = true;
-                shared.cv.notify_all();
+fn run_manager(listener: TcpListener, shared: Shared) -> Result<ManagerOutcome, CcError> {
+    std::thread::scope(|scope| {
+        let mut handlers = Vec::new();
+        let mut next_worker_id = 0u32;
+        while !shared.done() {
+            match listener.accept() {
+                Ok((stream, _peer)) => {
+                    let worker_id = next_worker_id;
+                    next_worker_id += 1;
+                    let sh = &shared;
+                    handlers.push(scope.spawn(move || handle_worker(sh, stream, worker_id)));
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+                Err(e) => {
+                    let mut st = shared.lock();
+                    st.error.get_or_insert(CcError::io("gaggle accept", e));
+                    st.done = true;
+                    shared.cv.notify_all();
+                }
             }
         }
-    }
-    for h in handlers {
-        let _ = h.join();
-    }
+        for h in handlers {
+            let _ = h.join();
+        }
+    });
 
-    let mut st = shared.lock();
-    if let Some(e) = st.error.take() {
+    let Shared {
+        web,
+        progress,
+        state,
+        sinks,
+        ..
+    } = shared;
+    let st = state.into_inner().expect("gaggle lease state poisoned");
+    if let Some(e) = st.error {
         return Err(e);
     }
-    if let Some(log) = st.log.take() {
-        // Final emission, same as a single-process run: the file on disk
-        // always ends holding the complete study, in canonical form.
-        let (walks, failures) = walks_of(&st.shards[st.saved_shards..]);
-        shared
-            .web
-            .with_truth(|whole| log.finish(&st.base, walks, failures, whole))?;
-    }
-    let base = std::mem::take(&mut st.base.partial);
-    let shards = std::mem::take(&mut st.shards);
-    let stats = st.stats.clone();
-    drop(st);
-    if let Some(p) = &shared.progress {
+    // The same ending as a single-process run: the world's ledger made
+    // whole, the log rewritten in canonical form, the dataset assembled.
+    let dataset = sinks.finish(&web)?;
+    if let Some(p) = &progress {
         p.stop_clock();
     }
-
-    let dataset = CrawlDataset::merge(std::iter::once(base).chain(shards));
     Ok(ManagerOutcome {
-        web: Arc::clone(&shared.web),
+        web,
         dataset,
-        stats,
+        stats: st.stats,
     })
 }
 
@@ -567,7 +482,7 @@ fn say_goodbye(shared: &Shared, stream: &mut TcpStream) {
     cc_telemetry::counter_id(CounterId::GAGGLE_WORKERS_DISCONNECTED, 1);
 }
 
-fn handle_worker(shared: Arc<Shared>, mut stream: TcpStream, worker_id: u32) {
+fn handle_worker(shared: &Shared, mut stream: TcpStream, worker_id: u32) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_POLL));
 
@@ -630,7 +545,7 @@ fn handle_worker(shared: Arc<Shared>, mut stream: TcpStream, worker_id: u32) {
 
     loop {
         let Some((lease_id, walk_ids)) = shared.next_lease(worker_id) else {
-            say_goodbye(&shared, &mut stream);
+            say_goodbye(shared, &mut stream);
             return;
         };
 
@@ -677,7 +592,7 @@ fn handle_worker(shared: Arc<Shared>, mut stream: TcpStream, worker_id: u32) {
                     let mut st = shared.lock();
                     if st.done {
                         drop(st);
-                        say_goodbye(&shared, &mut stream);
+                        say_goodbye(shared, &mut stream);
                         return;
                     }
                     shared.sweep_expired(&mut st);

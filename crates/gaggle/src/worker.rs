@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use cc_crawler::StudyRun;
-use cc_util::{CcError, ProgressCounters};
+use cc_util::CcError;
 use cc_web::generate;
 
 use crate::wire::{read_frame, write_frame, Frame, FrameError, PROTOCOL};
@@ -116,7 +116,6 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, CcError> {
     // Regenerate the world: deterministic, so this worker's ledger starts
     // exactly where the manager's (and every sibling's) did.
     let web = generate(&study.web);
-    let progress = ProgressCounters::new(study.workers);
     // Test hook: slow the start of every lease so an integration test (or
     // the CI smoke job) can kill -9 this process reliably mid-lease.
     let slow_ms: u64 = std::env::var("CC_GAGGLE_TEST_SLOW_MS")
@@ -179,9 +178,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, CcError> {
                 if slow_ms > 0 {
                     std::thread::sleep(Duration::from_millis(slow_ms));
                 }
-                let shard = StudyRun::new(&web, &study)
-                    .progress(&progress)
-                    .lease(&walk_ids);
+                let shard = StudyRun::new(&web, &study).lease(&walk_ids);
                 drop(stop_tx);
                 let _ = hb.join();
                 let (shard, truth) = shard?;

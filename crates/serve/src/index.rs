@@ -22,6 +22,8 @@ use cc_analysis::{classify_redirectors, RedirectorClass};
 use cc_core::pipeline::PipelineOutput;
 use cc_core::WalkExtract;
 use cc_crawler::{CrawlCheckpoint, CrawlDataset, WalkRecord};
+use cc_http::date::format_http_date;
+use cc_net::SimTime;
 use cc_util::CcError;
 use cc_web::{generate, SimWeb};
 
@@ -36,40 +38,10 @@ pub const SERVE_SCHEMA: &str = "cc-serve/v1";
 /// reading a real clock anywhere in the serving path.
 const EPOCH_BASE_UNIX_SECS: u64 = 1_667_260_800;
 
-/// Render a Unix timestamp as an RFC 9110 `IMF-fixdate`
-/// (`Tue, 01 Nov 2022 00:00:00 GMT`).
-pub fn http_date(unix_secs: u64) -> String {
-    const DAYS: [&str; 7] = ["Sun", "Mon", "Tue", "Wed", "Thu", "Fri", "Sat"];
-    const MONTHS: [&str; 12] = [
-        "Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
-    ];
-    let days = unix_secs / 86_400;
-    let secs = unix_secs % 86_400;
-    let weekday = DAYS[((days + 4) % 7) as usize]; // 1970-01-01 was a Thursday.
-    // Civil-from-days (Hinnant's algorithm), valid for the whole u64 era
-    // range we can reach.
-    let z = days as i64 + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
-    let year = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let day = doy - (153 * mp + 2) / 5 + 1;
-    let month = if mp < 10 { mp + 3 } else { mp - 9 };
-    let year = if month <= 2 { year + 1 } else { year };
-    format!(
-        "{weekday}, {day:02} {} {year} {:02}:{:02}:{:02} GMT",
-        MONTHS[(month - 1) as usize],
-        secs / 3_600,
-        (secs / 60) % 60,
-        secs % 60
-    )
-}
-
 /// The deterministic `Last-Modified` value for an epoch.
 pub fn last_modified_for_epoch(epoch: u64) -> String {
-    http_date(EPOCH_BASE_UNIX_SECS.saturating_add(epoch))
+    let secs = EPOCH_BASE_UNIX_SECS.saturating_add(epoch);
+    format_http_date(SimTime(secs.saturating_mul(1_000)))
 }
 
 /// Strong ETag for a body: FNV-1a over the bytes, quoted per RFC 9110.
@@ -505,6 +477,15 @@ mod tests {
         let report = full_report(&web, &ds, &out);
         let report_json = serde_json::to_string(&report).unwrap();
         (ServingIndex::build(&web, &ds, &out).unwrap(), report_json)
+    }
+
+    #[test]
+    fn last_modified_starts_at_the_epoch_base() {
+        assert_eq!(last_modified_for_epoch(0), "Tue, 01 Nov 2022 00:00:00 GMT");
+        assert_eq!(
+            last_modified_for_epoch(86_400),
+            "Wed, 02 Nov 2022 00:00:00 GMT"
+        );
     }
 
     #[test]

@@ -68,9 +68,7 @@ pub mod router;
 pub mod server;
 
 pub use handle::{FollowConfig, IndexHandle, IndexSource};
-pub use index::{
-    etag_for, http_date, last_modified_for_epoch, CachedBody, ServingIndex, SmugglerRole,
-};
+pub use index::{etag_for, last_modified_for_epoch, CachedBody, ServingIndex, SmugglerRole};
 pub use publish::{IncrementalIndexBuilder, IndexPublisher};
 pub use router::ObsSources;
 pub use server::{RequestLogEntry, ServeConfig, Server, ServerHandle};
