@@ -8,11 +8,12 @@
 //!   frames (Hello/Welcome/Lease/Heartbeat/ShardResult/Telemetry/Goodbye)
 //!   with bounded reads and explicit decode errors, sharing cc-http's
 //!   transport-error classification.
-//! * [`manager`] — partitions the walk-id space into leases, streams them
-//!   to workers, expires and re-issues leases whose holder dies (fresh
-//!   lease ids make stale "zombie" results droppable), and records each
-//!   accepted shard into the accumulator a single-process run uses — so
-//!   the output is byte-identical at any worker count, any lease
+//! * [`manager`] — partitions the walk-id space into leases and streams
+//!   them to workers. Each worker's handler thread holds its one lease's
+//!   deadline, re-issues the lease when its holder goes silent or dies
+//!   (fresh lease ids make stale "zombie" results droppable), and records
+//!   each accepted shard into the accumulator a single-process run uses —
+//!   so the output is byte-identical at any worker count, any lease
 //!   interleaving, and any kill history.
 //! * [`worker`] — dials in, regenerates the world from the Welcome's
 //!   study config, crawls each lease through the existing parallel

@@ -2,12 +2,24 @@
 //!
 //! The manager owns the study. It generates the world, partitions the
 //! walk-id space into fixed-size **leases**, and streams them to however
-//! many workers dial in, over the [`crate::wire`] codec. Each lease
-//! carries a deadline renewed by heartbeats; a worker that dies mid-lease
-//! (socket close or deadline expiry) has its leases re-issued — under a
-//! **fresh lease id**, which is how a "zombie" result from a
-//! presumed-dead worker that was merely slow is told apart from the live
-//! re-issue and dropped instead of double-counted.
+//! many workers dial in, over the [`crate::wire`] codec. Each worker is
+//! served by one handler thread, which holds at most one lease at a time
+//! and is that lease's only bookkeeper: the lease's id, walk ids and
+//! deadline are the handler's locals, and each of its socket reads blocks
+//! until the deadline at most, which each heartbeat for the lease pushes
+//! out by one lease timeout. A
+//! lease whose deadline passes, or whose holder's connection ends, goes
+//! back to the queue and is re-issued under a **fresh lease id**. A late
+//! ("zombie") result from a worker that was merely slow carries the old
+//! id, so its handler drops it and keeps waiting for the lease it holds
+//! instead of double-counting the walks.
+//!
+//! Every timeout derives from [`GaggleConfig::lease_timeout_ms`]: the
+//! lease deadline, the `Hello` deadline of a connecting peer, the write
+//! timeout on each worker socket and the goodbye drain. The handlers
+//! share only the queue of leases waiting to go out, a count of those
+//! out and the run's counters; a handler waiting for work sleeps on a
+//! condvar that every give-back and every completion notifies.
 //!
 //! Determinism is the point: every walk is a pure function of
 //! `(StudyConfig, walk_id)`, and the manager has no sink of its own. It
@@ -18,7 +30,8 @@
 //! byte-identical to a single-process run at any worker count, any lease
 //! interleaving, and any kill/re-issue history.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
+use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -43,6 +56,9 @@ pub struct GaggleConfig {
     /// larger ones amortize frame overhead.
     pub lease_walks: usize,
     /// Lease deadline in milliseconds; each heartbeat pushes it out again.
+    /// The manager's every other timeout is this one too: a connecting
+    /// peer's `Hello`, each write to a worker and the goodbye drain.
+    /// Must be at least 1.
     pub lease_timeout_ms: u64,
 }
 
@@ -85,8 +101,9 @@ pub struct GaggleStats {
     pub leases_expired: u64,
     /// Leases re-issued after expiry or worker death.
     pub leases_reissued: u64,
-    /// ShardResults dropped because their lease was no longer live
-    /// (the zombie-worker double-count guard).
+    /// ShardResults dropped because their lease was not the one their
+    /// worker held: a zombie's late result for a lease given back and
+    /// re-issued (the double-count guard).
     pub results_dropped_stale: u64,
     /// Frames written to workers.
     pub frames_sent: u64,
@@ -114,18 +131,13 @@ struct PendingLease {
     reissue: bool,
 }
 
-/// One lease currently held by a worker.
-struct OutstandingLease {
-    ids: Vec<u32>,
-    worker: u32,
-    deadline: Instant,
-}
-
-/// The lease book the handler threads share, guarded by one mutex +
-/// condvar.
+/// What the handler threads share, guarded by one mutex + condvar. A
+/// lease that is out is known, with its deadline, only to the handler
+/// whose worker holds it.
 struct LeaseState {
     pending: VecDeque<PendingLease>,
-    outstanding: BTreeMap<u64, OutstandingLease>,
+    /// Leases issued and not yet completed or given back.
+    live: usize,
     next_lease_id: u64,
     done: bool,
     stats: GaggleStats,
@@ -153,6 +165,10 @@ impl Shared {
         self.lock().done
     }
 
+    fn lease_timeout(&self) -> Duration {
+        Duration::from_millis(self.cfg.lease_timeout_ms)
+    }
+
     /// Write one frame and account for it.
     fn send(&self, w: &mut TcpStream, frame: &Frame) -> Result<(), FrameError> {
         let n = write_frame(w, frame)?;
@@ -165,10 +181,13 @@ impl Shared {
         Ok(())
     }
 
-    /// Read one frame and account for it (timeouts pass through
-    /// unaccounted — nothing crossed the wire).
-    fn recv(&self, r: &mut TcpStream) -> Result<Frame, FrameError> {
-        let (frame, n) = read_frame(r)?;
+    /// Read one frame, blocking no later than `deadline`, and account for
+    /// it. [`FrameError::TimedOut`] means the deadline passed before a
+    /// frame began (nothing crossed the wire, nothing is counted), and
+    /// [`FrameError::Truncated`] that it passed, or the peer went away,
+    /// after one began.
+    fn recv(&self, stream: &TcpStream, deadline: Instant) -> Result<Frame, FrameError> {
+        let (frame, n) = read_frame(&mut Until { stream, deadline })?;
         let mut st = self.lock();
         st.stats.frames_received += 1;
         st.stats.bytes_received += n as u64;
@@ -178,75 +197,47 @@ impl Shared {
         Ok(frame)
     }
 
-    /// Move every outstanding lease past its deadline back to pending.
-    /// Any handler may sweep; the condvar wakes the rest.
-    fn sweep_expired(&self, st: &mut LeaseState) {
-        let now = Instant::now();
-        let expired: Vec<u64> = st
-            .outstanding
-            .iter()
-            .filter(|(_, l)| l.deadline <= now)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in expired {
-            let lease = st.outstanding.remove(&id).expect("expired lease vanished");
-            st.stats.leases_expired += 1;
-            cc_telemetry::counter_id(CounterId::GAGGLE_LEASES_EXPIRED, 1);
-            cc_telemetry::event(
-                "gaggle.lease.expired",
-                &[("worker", &lease.worker.to_string())],
-            );
-            st.pending.push_back(PendingLease {
-                ids: lease.ids,
-                reissue: true,
-            });
-        }
-        if !st.pending.is_empty() {
-            self.cv.notify_all();
-        }
-    }
-
-    /// Requeue every lease held by `worker` (its connection died).
-    fn requeue_worker(&self, worker: u32) {
-        let mut st = self.lock();
-        let held: Vec<u64> = st
-            .outstanding
-            .iter()
-            .filter(|(_, l)| l.worker == worker)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in held {
-            let lease = st.outstanding.remove(&id).expect("held lease vanished");
-            st.pending.push_back(PendingLease {
-                ids: lease.ids,
-                reissue: true,
-            });
-        }
-        st.stats.workers_disconnected += 1;
-        cc_telemetry::counter_id(CounterId::GAGGLE_WORKERS_DISCONNECTED, 1);
+    /// Queue a held lease's ids for re-issue under a fresh lease id.
+    fn give_back(&self, st: &mut LeaseState, ids: Vec<u32>) {
+        st.live -= 1;
+        st.pending.push_back(PendingLease { ids, reissue: true });
         self.cv.notify_all();
     }
 
+    /// The held lease's deadline passed: give it back as expired.
+    fn expire(&self, worker: u32, ids: Vec<u32>) {
+        let mut st = self.lock();
+        st.stats.leases_expired += 1;
+        cc_telemetry::counter_id(CounterId::GAGGLE_LEASES_EXPIRED, 1);
+        cc_telemetry::event("gaggle.lease.expired", &[("worker", &worker.to_string())]);
+        self.give_back(&mut st, ids);
+    }
+
+    /// A worker's connection ended (Goodbye, death or a broken frame):
+    /// give back the lease it held, if any.
+    fn disconnect(&self, held: Option<Vec<u32>>) {
+        let mut st = self.lock();
+        if let Some(ids) = held {
+            self.give_back(&mut st, ids);
+        }
+        st.stats.workers_disconnected += 1;
+        drop(st);
+        cc_telemetry::counter_id(CounterId::GAGGLE_WORKERS_DISCONNECTED, 1);
+    }
+
     /// Block until a lease is issuable (returns its id + ids) or the run
-    /// completes (returns `None`). Sweeps expired deadlines while waiting.
-    fn next_lease(&self, worker: u32) -> Option<(u64, Vec<u32>)> {
+    /// completes (returns `None`). Every give-back and every completion
+    /// notifies, so the wait needs no timer.
+    fn next_lease(&self) -> Option<(u64, Vec<u32>)> {
         let mut st = self.lock();
         loop {
             if st.done {
                 return None;
             }
-            self.sweep_expired(&mut st);
             if let Some(p) = st.pending.pop_front() {
                 let lease_id = st.next_lease_id;
                 st.next_lease_id += 1;
-                st.outstanding.insert(
-                    lease_id,
-                    OutstandingLease {
-                        ids: p.ids.clone(),
-                        worker,
-                        deadline: Instant::now() + Duration::from_millis(self.cfg.lease_timeout_ms),
-                    },
-                );
+                st.live += 1;
                 st.stats.leases_issued += 1;
                 cc_telemetry::counter_id(CounterId::GAGGLE_LEASES_ISSUED, 1);
                 if p.reissue {
@@ -255,46 +246,28 @@ impl Shared {
                 }
                 return Some((lease_id, p.ids));
             }
-            if st.outstanding.is_empty() {
-                // Nothing pending, nothing outstanding: the run is done.
+            if st.live == 0 {
+                // Nothing pending, nothing out: the run is done.
                 st.done = true;
                 self.cv.notify_all();
                 return None;
             }
-            let (guard, _timeout) = self
-                .cv
-                .wait_timeout(st, Duration::from_millis(100))
-                .expect("gaggle lease state poisoned");
-            st = guard;
+            st = self.cv.wait(st).expect("gaggle lease state poisoned");
         }
     }
 
-    /// Renew `lease_id`'s deadline if it is still this worker's.
-    fn heartbeat(&self, worker: u32, lease_id: u64) {
-        let mut st = self.lock();
-        if let Some(l) = st.outstanding.get_mut(&lease_id) {
-            if l.worker == worker {
-                l.deadline = Instant::now() + Duration::from_millis(self.cfg.lease_timeout_ms);
-            }
-        }
+    /// A ShardResult for a lease its worker no longer holds: that lease
+    /// was given back and re-issued (or never existed), so accepting it
+    /// would double-count the walks.
+    fn drop_stale(&self) {
+        self.lock().stats.results_dropped_stale += 1;
+        cc_telemetry::counter_id(CounterId::GAGGLE_RESULTS_DROPPED_STALE, 1);
     }
 
-    /// Accept a ShardResult into the study's accumulator, or drop it as a
-    /// zombie's.
-    fn accept_result(&self, worker: u32, lease_id: u64, shard: CrawlDataset, truth: &TruthLog) {
+    /// Accept the held lease's ShardResult into the study's accumulator.
+    fn accept_result(&self, worker: u32, shard: CrawlDataset, truth: &TruthLog) {
         let mut st = self.lock();
-        let live = st
-            .outstanding
-            .get(&lease_id)
-            .is_some_and(|l| l.worker == worker);
-        if !live {
-            // A zombie: this issuance was expired and re-issued (or never
-            // existed). Accepting it would double-count the walks.
-            st.stats.results_dropped_stale += 1;
-            cc_telemetry::counter_id(CounterId::GAGGLE_RESULTS_DROPPED_STALE, 1);
-            return;
-        }
-        st.outstanding.remove(&lease_id);
+        st.live -= 1;
         st.stats.leases_completed += 1;
         cc_telemetry::counter_id(CounterId::GAGGLE_LEASES_COMPLETED, 1);
         if let Some(p) = &self.progress {
@@ -303,7 +276,7 @@ impl Shared {
                 p.record_walk(slot, walk.steps.len() as u64);
             }
         }
-        if st.pending.is_empty() && st.outstanding.is_empty() {
+        if st.pending.is_empty() && st.live == 0 {
             st.done = true;
         }
         self.cv.notify_all();
@@ -322,6 +295,32 @@ impl Shared {
     }
 }
 
+/// A worker's socket read up to a deadline: each read blocks no later
+/// than the deadline, and fails with `TimedOut` once it has passed.
+struct Until<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for Until<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        loop {
+            // A spent deadline never reaches the socket: std refuses a
+            // zero read timeout.
+            let left = self.deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(ErrorKind::TimedOut.into());
+            }
+            self.stream.set_read_timeout(Some(left))?;
+            match (&mut &*self.stream).read(buf) {
+                // The socket's clock woke before the deadline: wait on.
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                read => return read,
+            }
+        }
+    }
+}
+
 /// A running manager. [`Manager::join`] blocks until every walk id has an
 /// accepted result, then assembles the final dataset.
 pub struct Manager {
@@ -337,6 +336,11 @@ impl Manager {
         opts: ManagerOptions,
     ) -> Result<Manager, CcError> {
         study.validate()?;
+        if cfg.lease_timeout_ms == 0 {
+            return Err(CcError::Config(
+                "lease_timeout_ms must be at least 1".into(),
+            ));
+        }
         let web = Arc::new(generate(&study.web));
         let (base, ids) = resume_plan(study, web.seeder_urls().len(), opts.resume)?;
         let sinks = WalkSinks::new(base, ids.len(), None);
@@ -351,7 +355,7 @@ impl Manager {
         let state = LeaseState {
             done: pending.is_empty(),
             pending,
-            outstanding: BTreeMap::new(),
+            live: 0,
             next_lease_id: 1,
             stats: GaggleStats::default(),
             error: None,
@@ -388,7 +392,10 @@ impl Manager {
         self.addr
     }
 
-    /// Wait for completion and assemble the final dataset.
+    /// Wait for completion and assemble the final dataset. Every handler
+    /// thread is joined first, so a peer that connected just before the
+    /// last lease completed can delay this by one lease timeout (its
+    /// `Hello` deadline or the goodbye drain), and no more.
     pub fn join(self) -> Result<ManagerOutcome, CcError> {
         self.thread.join().expect("gaggle manager thread panicked")
     }
@@ -446,15 +453,9 @@ fn run_manager(listener: TcpListener, shared: Shared) -> Result<ManagerOutcome, 
     })
 }
 
-/// How long a handler's socket reads block before it re-checks shutdown
-/// flags and lease deadlines.
-const READ_POLL: Duration = Duration::from_millis(250);
-
-/// Most `READ_POLL` timeouts tolerated while draining a goodbye.
-const DRAIN_PATIENCE: u32 = 40;
-
 /// Run complete: say goodbye, then drain the worker's parting
-/// Telemetry/Goodbye so its counters land in the manager's report.
+/// Telemetry/Goodbye for up to one lease timeout, so its counters land in
+/// the manager's report.
 fn say_goodbye(shared: &Shared, stream: &mut TcpStream) {
     let _ = shared.send(
         stream,
@@ -462,41 +463,32 @@ fn say_goodbye(shared: &Shared, stream: &mut TcpStream) {
             reason: "complete".into(),
         },
     );
-    let mut patience = DRAIN_PATIENCE;
+    let deadline = Instant::now() + shared.lease_timeout();
     loop {
-        match shared.recv(stream) {
+        match shared.recv(stream, deadline) {
             Ok(Frame::Telemetry { counters }) => {
                 for (name, n) in &counters {
                     cc_telemetry::counter(name, *n);
                 }
             }
-            Ok(Frame::Goodbye { .. }) | Err(FrameError::Closed) => break,
+            Ok(Frame::Goodbye { .. }) | Err(_) => break,
             Ok(_) => {}
-            Err(FrameError::TimedOut) if patience > 0 => patience -= 1,
-            Err(_) => break,
         }
     }
-    let mut st = shared.lock();
-    st.stats.workers_disconnected += 1;
-    drop(st);
-    cc_telemetry::counter_id(CounterId::GAGGLE_WORKERS_DISCONNECTED, 1);
+    shared.disconnect(None);
 }
 
 fn handle_worker(shared: &Shared, mut stream: TcpStream, worker_id: u32) {
+    let timeout = shared.lease_timeout();
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(READ_POLL));
+    // No other thread can give back a lease whose holder is stuck in a
+    // write, so no write may block forever.
+    let _ = stream.set_write_timeout(Some(timeout));
 
-    // Handshake: Hello (with the exact protocol string) before anything.
-    let hello = loop {
-        match shared.recv(&mut stream) {
-            Ok(f) => break f,
-            Err(FrameError::TimedOut) => {
-                if shared.done() {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
+    // Handshake: Hello (with the exact protocol string) within one lease
+    // timeout, or the peer is dropped.
+    let Ok(hello) = shared.recv(&stream, Instant::now() + timeout) else {
+        return;
     };
     match hello {
         Frame::Hello { protocol, label } if protocol == PROTOCOL => {
@@ -539,75 +531,57 @@ fn handle_worker(shared: &Shared, mut stream: TcpStream, worker_id: u32) {
         )
         .is_err()
     {
-        shared.requeue_worker(worker_id);
+        shared.disconnect(None);
         return;
     }
 
-    loop {
-        let Some((lease_id, walk_ids)) = shared.next_lease(worker_id) else {
-            say_goodbye(shared, &mut stream);
-            return;
+    while let Some((lease_id, walk_ids)) = shared.next_lease() {
+        let lease = Frame::Lease {
+            lease_id,
+            walk_ids: walk_ids.clone(),
+            deadline_ms: shared.cfg.lease_timeout_ms,
         };
-
-        if shared
-            .send(
-                &mut stream,
-                &Frame::Lease {
-                    lease_id,
-                    walk_ids,
-                    deadline_ms: shared.cfg.lease_timeout_ms,
-                },
-            )
-            .is_err()
-        {
-            shared.requeue_worker(worker_id);
+        if shared.send(&mut stream, &lease).is_err() {
+            shared.disconnect(Some(walk_ids));
             return;
         }
 
-        // Wait for this lease's result (heartbeats renew it meanwhile).
+        // Wait for this lease's result until its deadline, which each of
+        // its heartbeats pushes out.
+        let mut deadline = Instant::now() + timeout;
         loop {
-            match shared.recv(&mut stream) {
-                Ok(Frame::Heartbeat { lease_id, .. }) => {
-                    shared.heartbeat(worker_id, lease_id);
+            match shared.recv(&stream, deadline) {
+                Ok(Frame::Heartbeat { lease_id: id, .. }) if id == lease_id => {
+                    deadline = Instant::now() + timeout;
                 }
                 Ok(Frame::ShardResult {
-                    lease_id,
+                    lease_id: id,
                     shard,
                     truth,
-                }) => {
-                    shared.accept_result(worker_id, lease_id, shard, &truth);
-                    break; // accepted or zombie-dropped: fetch the next lease
+                }) if id == lease_id => {
+                    shared.accept_result(worker_id, shard, &truth);
+                    break;
                 }
+                // A zombie's: keep waiting for the lease this worker holds.
+                Ok(Frame::ShardResult { .. }) => shared.drop_stale(),
                 Ok(Frame::Telemetry { counters }) => {
                     for (name, n) in &counters {
                         cc_telemetry::counter(name, *n);
                     }
                 }
-                Ok(Frame::Goodbye { .. }) | Err(FrameError::Closed) => {
-                    shared.requeue_worker(worker_id);
-                    return;
-                }
-                Ok(_) => {} // Hello twice etc.: ignore
                 Err(FrameError::TimedOut) => {
-                    let mut st = shared.lock();
-                    if st.done {
-                        drop(st);
-                        say_goodbye(shared, &mut stream);
-                        return;
-                    }
-                    shared.sweep_expired(&mut st);
-                    if !st.outstanding.contains_key(&lease_id) {
-                        // Our lease expired under us (swept here or by a
-                        // peer handler): stop waiting, ask for new work.
-                        drop(st);
-                        break;
-                    }
+                    // Expired: give it back and ask for the next lease,
+                    // which waits in the worker's socket meanwhile.
+                    shared.expire(worker_id, walk_ids);
+                    break;
                 }
-                Err(_) => {
-                    shared.requeue_worker(worker_id);
+                Ok(Frame::Goodbye { .. }) | Err(_) => {
+                    shared.disconnect(Some(walk_ids));
                     return;
                 }
+                Ok(_) => {} // a stale lease's heartbeat, Hello twice etc.: ignore
             }
         }
     }
+    say_goodbye(shared, &mut stream);
 }

@@ -22,9 +22,11 @@
 //!
 //! Error classification mirrors cc-http ([`cc_http::classify_io`] is the
 //! shared mapping): EOF before the first magic byte is a clean
-//! [`FrameError::Closed`], EOF anywhere later is [`FrameError::Truncated`],
-//! and a socket read deadline surfaces as [`FrameError::TimedOut`] so
-//! callers can poll shutdown flags between reads.
+//! [`FrameError::Closed`], and a socket read timeout there is
+//! [`FrameError::TimedOut`] (the reader set that timeout to its deadline,
+//! and the deadline has passed). Once a frame has begun, EOF and a timeout
+//! alike are [`FrameError::Truncated`]: the stream is no longer at a frame
+//! boundary, so the reader must drop the connection.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -55,9 +57,11 @@ pub enum FrameError {
     /// The peer closed the connection cleanly before the first byte of a
     /// frame (normal termination, not an error to report).
     Closed,
-    /// The read timed out; the connection is healthy, retry the read.
+    /// The read timed out before a frame began: the reader's deadline
+    /// passed, and the connection is still at a frame boundary.
     TimedOut,
-    /// The connection died mid-frame.
+    /// The frame was cut off after it began: the connection died, or the
+    /// reader's deadline passed. The stream is desynced.
     Truncated,
     /// Underlying I/O failure.
     Io(String),
@@ -81,7 +85,7 @@ impl std::fmt::Display for FrameError {
         match self {
             FrameError::Closed => write!(f, "connection closed"),
             FrameError::TimedOut => write!(f, "read timed out"),
-            FrameError::Truncated => write!(f, "connection died mid-frame"),
+            FrameError::Truncated => write!(f, "frame cut off mid-way"),
             FrameError::Io(e) => write!(f, "i/o error: {e}"),
             FrameError::BadMagic(m) => write!(f, "bad frame magic {m:?} (want {MAGIC:?})"),
             FrameError::UnknownType(t) => write!(f, "unknown frame type 0x{t:02x}"),
@@ -100,13 +104,6 @@ impl std::error::Error for FrameError {}
 impl From<FrameError> for CcError {
     fn from(e: FrameError) -> Self {
         CcError::Protocol(e.to_string())
-    }
-}
-
-impl FrameError {
-    /// Whether a retry of the same read can succeed (only a timeout).
-    pub fn is_timeout(&self) -> bool {
-        matches!(self, FrameError::TimedOut)
     }
 }
 
@@ -396,8 +393,9 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<usize, FrameErro
     Ok(buf.len())
 }
 
-/// Read exactly `buf.len()` bytes, distinguishing EOF-before-first-byte
-/// (`Closed` when `first` is set) from EOF mid-frame (`Truncated`).
+/// Read exactly `buf.len()` bytes, distinguishing an end or a timeout
+/// before a frame's first byte (`Closed`, `TimedOut`; `first` marks the
+/// frame's first buffer) from one after it (`Truncated`).
 fn read_exact_classified(
     r: &mut impl Read,
     buf: &mut [u8],
@@ -405,33 +403,23 @@ fn read_exact_classified(
 ) -> Result<(), FrameError> {
     let mut filled = 0;
     while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(if first && filled == 0 {
-                    FrameError::Closed
-                } else {
-                    FrameError::Truncated
-                });
+        let fault = match r.read(&mut buf[filled..]) {
+            Ok(0) => FrameError::Closed,
+            Ok(n) => {
+                filled += n;
+                continue;
             }
-            Ok(n) => filled += n,
-            Err(e) => match io_error(e) {
-                // A timeout with part of a frame already read must not
-                // surface as TimedOut — the caller would retry from the
-                // frame boundary and desync. Keep waiting for the rest;
-                // the peer either finishes the frame or dies (and the
-                // death classifies below).
-                FrameError::TimedOut if filled > 0 => continue,
-                FrameError::TimedOut => return Err(FrameError::TimedOut),
-                FrameError::Closed => {
-                    return Err(if first && filled == 0 {
-                        FrameError::Closed
-                    } else {
-                        FrameError::Truncated
-                    });
-                }
-                other => return Err(other),
-            },
-        }
+            Err(e) => io_error(e),
+        };
+        return Err(match fault {
+            // Past the frame's first byte the stream is desynced: a
+            // reader that went on would parse the rest of this frame as
+            // the next one.
+            FrameError::Closed | FrameError::TimedOut if !first || filled > 0 => {
+                FrameError::Truncated
+            }
+            other => other,
+        });
     }
     Ok(())
 }
@@ -440,8 +428,11 @@ fn read_exact_classified(
 /// the `gaggle.bytes.received` counter).
 ///
 /// [`FrameError::Closed`] means the peer ended the connection cleanly at
-/// a frame boundary; [`FrameError::TimedOut`] means no frame has started
-/// yet and the caller may retry (poll a shutdown flag, then read again).
+/// a frame boundary; [`FrameError::TimedOut`] means the reader's socket
+/// timeout (its deadline) lapsed before a frame began, and
+/// [`FrameError::Truncated`] that the frame was cut off, by the peer or by
+/// that timeout, after it began. A reader with no timeout set blocks
+/// until a frame arrives or the peer goes away.
 pub fn read_frame(r: &mut impl Read) -> Result<(Frame, usize), FrameError> {
     let mut magic = [0u8; 4];
     read_exact_classified(r, &mut magic, true)?;
@@ -522,6 +513,44 @@ mod tests {
         for cut in 1..buf.len() {
             let err = read_frame(&mut &buf[..cut]).unwrap_err();
             assert_eq!(err, FrameError::Truncated, "cut at {cut}");
+        }
+    }
+
+    /// Hands over `bytes` up to byte `cut`, then times out, as a socket
+    /// with a read deadline does while its peer pauses.
+    struct Pausing<'a> {
+        bytes: &'a [u8],
+        cut: usize,
+    }
+
+    impl Read for Pausing<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.cut.min(buf.len());
+            if n == 0 {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            self.cut -= n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_timeout_inside_a_frame_cuts_it_off() {
+        let mut bytes = Vec::new();
+        write_frame(
+            &mut bytes,
+            &Frame::Goodbye {
+                reason: "complete".into(),
+            },
+        )
+        .unwrap();
+        let read_to = |cut| read_frame(&mut Pausing { bytes: &bytes, cut });
+        assert_eq!(read_to(0).unwrap_err(), FrameError::TimedOut);
+        // After the magic, after the header and inside the payload.
+        for cut in [4, 9, 11] {
+            assert_eq!(read_to(cut).unwrap_err(), FrameError::Truncated, "cut at {cut}");
         }
     }
 

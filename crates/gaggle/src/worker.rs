@@ -7,7 +7,9 @@
 //! [`StudyRun::lease`] — the same work-stealing executor, with
 //! `study.workers` threads, that a single-process run uses. A heartbeat
 //! thread renews the lease while the crawl runs, so a slow lease is
-//! distinguishable from a dead worker.
+//! distinguishable from a dead worker. The worker's reads block: the
+//! manager holds every deadline, and it ends the connection with a
+//! Goodbye or by closing it.
 //!
 //! Workers do **not** open their own telemetry session (sessions are
 //! process-global and exclusive — the bench harness runs several workers
@@ -48,10 +50,6 @@ pub struct WorkerSummary {
     pub walks: u64,
 }
 
-/// Socket read deadline; reads loop on timeout so a worker waiting for
-/// its next lease stays responsive.
-const READ_POLL: Duration = Duration::from_millis(250);
-
 /// Connection retry budget: the manager may still be binding when a
 /// worker launches (the CLI's `--gaggle N` spawns both at once).
 const CONNECT_ATTEMPTS: u32 = 100;
@@ -79,9 +77,6 @@ fn connect_with_retry(addr: &str) -> Result<TcpStream, CcError> {
 pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, CcError> {
     let mut stream = connect_with_retry(&cfg.connect)?;
     let _ = stream.set_nodelay(true);
-    stream
-        .set_read_timeout(Some(READ_POLL))
-        .map_err(|e| CcError::io(&cfg.connect, e))?;
     // Writes go through a shared handle so the heartbeat thread and the
     // lease loop never interleave partial frames.
     let writer = Arc::new(Mutex::new(
@@ -96,20 +91,18 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, CcError> {
         protocol: PROTOCOL.into(),
         label: cfg.label.clone(),
     })?;
-    let (worker_id, study) = loop {
-        match read_frame(&mut stream) {
-            Ok((Frame::Welcome { worker_id, study }, _)) => break (worker_id, study),
-            Ok((Frame::Goodbye { reason }, _)) => {
-                return Err(CcError::Protocol(format!("manager refused worker: {reason}")));
-            }
-            Ok((other, _)) => {
-                return Err(CcError::Protocol(format!(
-                    "expected Welcome, got {}",
-                    other.name()
-                )));
-            }
-            Err(FrameError::TimedOut) => {}
-            Err(e) => return Err(e.into()),
+    let (worker_id, study) = match read_frame(&mut stream)? {
+        (Frame::Welcome { worker_id, study }, _) => (worker_id, study),
+        (Frame::Goodbye { reason }, _) => {
+            return Err(CcError::Protocol(format!(
+                "manager refused worker: {reason}"
+            )));
+        }
+        (other, _) => {
+            return Err(CcError::Protocol(format!(
+                "expected Welcome, got {}",
+                other.name()
+            )));
         }
     };
 
@@ -131,15 +124,15 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, CcError> {
     };
 
     loop {
-        match read_frame(&mut stream) {
-            Ok((
+        match read_frame(&mut stream)? {
+            (
                 Frame::Lease {
                     lease_id,
                     walk_ids,
                     deadline_ms,
                 },
                 _,
-            )) => {
+            ) => {
                 // Heartbeat for the whole time this lease is in hand —
                 // through the slow-start hook and the crawl alike. The
                 // channel doubles as an interruptible sleep: a plain
@@ -194,7 +187,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, CcError> {
                     truth,
                 })?;
             }
-            Ok((Frame::Goodbye { .. }, _)) => {
+            (Frame::Goodbye { .. }, _) => {
                 // Parting telemetry, then a clean goodbye. The manager may
                 // already have hung up (it only waits so long); that's
                 // still a completed run from this worker's side.
@@ -206,14 +199,12 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, CcError> {
                 });
                 return Ok(summary);
             }
-            Ok((other, _)) => {
+            (other, _) => {
                 return Err(CcError::Protocol(format!(
                     "unexpected {} frame from manager",
                     other.name()
                 )));
             }
-            Err(FrameError::TimedOut) => {}
-            Err(e) => return Err(e.into()),
         }
     }
 }

@@ -2,12 +2,11 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-use parking_lot::{Mutex, MutexGuard};
-
 use crate::histogram::Histogram;
+use crate::lock;
 use crate::registry::{CounterId, EventId, GaugeId, HistogramId};
 use crate::report::{DeterministicSection, RunReport, SpanRollup, TimingSection, WorkerSection};
 use crate::shard::{with_active_shard, AtomicHistogram, CounterCell, ShardGuard, WorkerCollector};
@@ -152,7 +151,7 @@ impl Collector {
     /// dropping the guard drains the shard back into the shared slots.
     pub fn install_worker_shard(self: &Arc<Self>) -> ShardGuard {
         let shard = Arc::new(WorkerCollector::default());
-        self.shards.lock().push(Arc::clone(&shard));
+        lock(&self.shards).push(Arc::clone(&shard));
         ShardGuard::bind(Arc::clone(self), shard)
     }
 
@@ -160,9 +159,9 @@ impl Collector {
     /// it. Runs under the shard-registry lock so it can never interleave
     /// with a report snapshot.
     pub(crate) fn drain_worker_shard(&self, shard: &Arc<WorkerCollector>) {
-        let mut shards = self.shards.lock();
+        let mut shards = lock(&self.shards);
         shards.retain(|s| !Arc::ptr_eq(s, shard));
-        let mut spans = self.spans.lock();
+        let mut spans = lock(&self.spans);
         shard.drain_into(
             &self.counter_slots,
             &self.event_slots,
@@ -178,7 +177,7 @@ impl Collector {
         if let Some(id) = CounterId::from_name(name) {
             return self.add_counter_id(id, n);
         }
-        let mut counters = self.counters.lock();
+        let mut counters = lock(&self.counters);
         match counters.get_mut(name) {
             Some(v) => *v += n,
             None => {
@@ -215,7 +214,7 @@ impl Collector {
             if let Some(id) = EventId::from_name(buf.as_str()) {
                 return self.add_event_id(id);
             }
-            let mut events = self.events.lock();
+            let mut events = lock(&self.events);
             match events.get_mut(buf.as_str()) {
                 Some(v) => *v += 1,
                 None => {
@@ -230,7 +229,7 @@ impl Collector {
         if let Some(id) = GaugeId::from_name(name) {
             return self.set_gauge_id(id, value);
         }
-        self.gauges.lock().insert(name.to_string(), value);
+        lock(&self.gauges).insert(name.to_string(), value);
     }
 
     /// Record a histogram observation in milliseconds.
@@ -238,14 +237,14 @@ impl Collector {
         if let Some(id) = HistogramId::from_name(name) {
             return self.observe_ms_id(id, ms);
         }
-        let mut hists = self.histograms.lock();
+        let mut hists = lock(&self.histograms);
         hists.entry(name.to_string()).or_default().observe_ms(ms);
     }
 
     /// The merged view of one registered histogram: the shared slot plus
     /// every live shard's unflushed observations.
     fn merged_histogram(&self, id: HistogramId) -> Option<Histogram> {
-        let shards = self.shards.lock();
+        let shards = lock(&self.shards);
         self.merged_histogram_locked(&shards, id)
     }
 
@@ -281,7 +280,7 @@ impl Collector {
         if let Some(id) = HistogramId::from_name(name) {
             return self.merged_histogram(id).map(|h| h.summarize());
         }
-        self.histograms.lock().get(name).map(Histogram::summarize)
+        lock(&self.histograms).get(name).map(Histogram::summarize)
     }
 
     /// Read one gauge value, if set.
@@ -289,7 +288,7 @@ impl Collector {
         if let Some(id) = GaugeId::from_name(name) {
             return self.gauge_slots[id.index()].get();
         }
-        self.gauges.lock().get(name).copied()
+        lock(&self.gauges).get(name).copied()
     }
 
     /// Maximum over all gauges whose name starts with `prefix` (the
@@ -301,8 +300,7 @@ impl Collector {
             .filter(|id| id.name().starts_with(prefix))
             .filter_map(|id| self.gauge_slots[id.index()].get())
             .fold(None, |acc: Option<f64>, v| Some(acc.map_or(v, |a| a.max(v))));
-        self.gauges
-            .lock()
+        lock(&self.gauges)
             .range(prefix.to_string()..)
             .take_while(|(k, _)| k.starts_with(prefix))
             .map(|(_, v)| *v)
@@ -320,7 +318,7 @@ impl Collector {
         if with_active_shard(self.addr(), |s| s.record_span(path, ns, self_ns, tick)).is_some() {
             return;
         }
-        let mut spans = self.spans.lock();
+        let mut spans = lock(&self.spans);
         spans
             .entry(path.to_string())
             .or_default()
@@ -353,13 +351,13 @@ impl Collector {
             .checked_duration_since(self.epoch)
             .map_or(0, |d| d.as_micros().min(u64::MAX as u128) as u64);
         {
-            let mut tracks = self.trace_tracks.lock();
+            let mut tracks = lock(&self.trace_tracks);
             tracks.entry(track).or_insert_with(|| {
                 let root = path.split('/').next().unwrap_or(path);
                 format!("{root} [track {track}]")
             });
         }
-        self.trace_spans.lock().push(TraceSpan {
+        lock(&self.trace_spans).push(TraceSpan {
             path: path.to_string(),
             track,
             start_us,
@@ -371,8 +369,8 @@ impl Collector {
     /// Snapshot the captured trace spans and the track-name table.
     pub fn trace_snapshot(&self) -> (Vec<TraceSpan>, BTreeMap<u32, String>) {
         (
-            self.trace_spans.lock().clone(),
-            self.trace_tracks.lock().clone(),
+            lock(&self.trace_spans).clone(),
+            lock(&self.trace_tracks).clone(),
         )
     }
 
@@ -384,9 +382,9 @@ impl Collector {
     /// ID merge, so a concurrently draining shard is seen exactly once —
     /// still live, or already in the slots.
     pub fn report(&self, workers: Option<WorkerSection>) -> RunReport {
-        let shards = self.shards.lock();
+        let shards = lock(&self.shards);
 
-        let mut counters = self.counters.lock().clone();
+        let mut counters = lock(&self.counters).clone();
         for &id in CounterId::ALL {
             let (mut value, mut touched) = self.counter_slots[id.index()].load();
             for shard in shards.iter() {
@@ -399,7 +397,7 @@ impl Collector {
             }
         }
 
-        let mut events = self.events.lock().clone();
+        let mut events = lock(&self.events).clone();
         for &id in EventId::ALL {
             let mut value = self.event_slots[id.index()].load(Ordering::Relaxed);
             for shard in shards.iter() {
@@ -410,16 +408,14 @@ impl Collector {
             }
         }
 
-        let mut gauges = self.gauges.lock().clone();
+        let mut gauges = lock(&self.gauges).clone();
         for &id in GaugeId::ALL {
             if let Some(v) = self.gauge_slots[id.index()].get() {
                 gauges.insert(id.name().to_string(), v);
             }
         }
 
-        let mut histograms: BTreeMap<String, crate::HistogramSummary> = self
-            .histograms
-            .lock()
+        let mut histograms: BTreeMap<String, crate::HistogramSummary> = lock(&self.histograms)
             .iter()
             .map(|(k, h)| (k.clone(), h.summarize()))
             .collect();
@@ -429,7 +425,7 @@ impl Collector {
             }
         }
 
-        let mut span_map = self.spans.lock().clone();
+        let mut span_map = lock(&self.spans).clone();
         for shard in shards.iter() {
             for (path, stat) in shard.spans_view() {
                 span_map.entry(path).or_default().merge(&stat);
@@ -489,9 +485,9 @@ pub struct Session {
 impl Session {
     /// Begin recording (blocks while another session is active).
     pub fn start() -> Session {
-        let exclusive = SESSION_LOCK.lock();
+        let exclusive = lock(&SESSION_LOCK);
         let collector = Arc::new(Collector::default());
-        *crate::sink_slot().write() = Some(Arc::clone(&collector));
+        *crate::sink_slot_mut() = Some(Arc::clone(&collector));
         crate::set_enabled(true);
         Session {
             collector,
@@ -547,7 +543,7 @@ impl Session {
 impl Drop for Session {
     fn drop(&mut self) {
         crate::set_enabled(false);
-        *crate::sink_slot().write() = None;
+        *crate::sink_slot_mut() = None;
     }
 }
 
@@ -589,6 +585,19 @@ mod tests {
         drop(a);
         let b = Session::start();
         assert!(b.report().deterministic.counters.is_empty());
+    }
+
+    #[test]
+    fn a_panic_inside_a_session_does_not_block_the_next() {
+        let panicked = std::thread::spawn(|| {
+            let _session = Session::start();
+            panic!("a test failing inside its session");
+        })
+        .join();
+        assert!(panicked.is_err());
+        let session = Session::start();
+        crate::counter("after.panic", 1);
+        assert_eq!(session.report().deterministic.counters["after.panic"], 1);
     }
 
     #[test]

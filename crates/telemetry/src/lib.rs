@@ -53,9 +53,7 @@ pub mod span;
 pub mod trace_export;
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
-use parking_lot::RwLock;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockWriteGuard};
 
 pub use collector::{Collector, Session};
 pub use histogram::{Histogram, HistogramSummary};
@@ -85,8 +83,8 @@ pub(crate) fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::SeqCst);
 }
 
-pub(crate) fn sink_slot() -> &'static RwLock<Option<Arc<Collector>>> {
-    &SINK
+pub(crate) fn sink_slot_mut() -> RwLockWriteGuard<'static, Option<Arc<Collector>>> {
+    SINK.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The active collector, or `None` when recording is off.
@@ -94,7 +92,16 @@ pub(crate) fn sink() -> Option<Arc<Collector>> {
     if !enabled() {
         return None;
     }
-    SINK.read().clone()
+    SINK.read().unwrap_or_else(PoisonError::into_inner).clone()
+}
+
+/// Lock `m`, taking its data even if a thread panicked while holding it.
+/// This crate's locks guard metric maps and buffers, which an update cut
+/// short leaves readable; and every session holds `SESSION_LOCK`, so
+/// without this one test that panics inside a [`Session`] would fail
+/// every later `Session::start`.
+pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Add `n` to the named counter.

@@ -11,9 +11,11 @@
 //! routes) serves them live.
 
 use std::collections::VecDeque;
+use std::sync::Mutex;
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+
+use crate::lock;
 
 /// One periodic observation of a running crawl (or serve session).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -62,7 +64,7 @@ impl SnapshotRing {
 
     /// Append a sample, dropping the oldest if the ring is full.
     pub fn push(&self, sample: ObsSample) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if inner.samples.len() == self.cap {
             inner.samples.pop_front();
         }
@@ -72,12 +74,12 @@ impl SnapshotRing {
 
     /// The retained window, oldest first.
     pub fn snapshot(&self) -> Vec<ObsSample> {
-        self.inner.lock().samples.iter().copied().collect()
+        lock(&self.inner).samples.iter().copied().collect()
     }
 
     /// Samples currently retained.
     pub fn len(&self) -> usize {
-        self.inner.lock().samples.len()
+        lock(&self.inner).samples.len()
     }
 
     /// Whether nothing has been sampled yet.
@@ -88,7 +90,7 @@ impl SnapshotRing {
     /// Total samples ever pushed (monotonic; exceeds [`SnapshotRing::len`]
     /// once the ring wraps).
     pub fn total_pushed(&self) -> u64 {
-        self.inner.lock().pushed
+        lock(&self.inner).pushed
     }
 
     /// The configured capacity.

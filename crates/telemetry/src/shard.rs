@@ -31,12 +31,11 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::collector::Collector;
 use crate::histogram::{bucket_index, ms_to_ns, Histogram, BUCKETS};
+use crate::lock;
 use crate::registry::{CounterId, EventId, HistogramId};
 use crate::span::SpanStat;
 
@@ -194,7 +193,7 @@ impl WorkerCollector {
     }
 
     pub(crate) fn record_span(&self, path: &str, ns: u64, self_ns: u64, tick: u64) {
-        let mut spans = self.spans.lock();
+        let mut spans = lock(&self.spans);
         match spans.get_mut(path) {
             Some(s) => s.record(ns, self_ns, tick),
             None => {
@@ -214,8 +213,7 @@ impl WorkerCollector {
     }
 
     pub(crate) fn spans_view(&self) -> Vec<(String, SpanStat)> {
-        self.spans
-            .lock()
+        lock(&self.spans)
             .iter()
             .map(|(k, v)| (k.clone(), *v))
             .collect()
@@ -252,7 +250,7 @@ impl WorkerCollector {
         for (mine, dst) in self.histograms.iter().zip(histograms.iter()) {
             mine.drain_into(dst);
         }
-        for (path, stat) in self.spans.lock().drain() {
+        for (path, stat) in lock(&self.spans).drain() {
             spans.entry(path).or_default().merge(&stat);
         }
     }

@@ -12,8 +12,6 @@
 //! streams cannot perturb each other no matter how many values they draw,
 //! which keeps experiments comparable as the code evolves.
 
-use rand::RngCore;
-
 /// SplitMix64 step; used for seeding and label hashing.
 #[inline]
 fn splitmix64(state: &mut u64) -> u64 {
@@ -35,10 +33,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// A deterministic xoshiro256\*\* random number generator.
-///
-/// Implements [`rand::RngCore`], so the whole `rand` distribution toolbox
-/// works on top of it while the underlying stream stays stable forever.
+/// A deterministic xoshiro256\*\* random number generator, whose stream
+/// stays stable forever.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DetRng {
     s: [u64; 4],
@@ -199,33 +195,6 @@ impl DetRng {
     }
 }
 
-impl RngCore for DetRng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.next()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,13 +341,5 @@ mod tests {
             assert!(rng.geometric(0.99, 4) <= 4);
         }
         assert_eq!(rng.geometric(0.0, 10), 0);
-    }
-
-    #[test]
-    fn fill_bytes_covers_remainder() {
-        let mut rng = DetRng::new(31);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }
