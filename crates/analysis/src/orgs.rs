@@ -7,7 +7,7 @@
 //! manual WHOIS/copyright research); unattributed domains count as their
 //! own organization, as the paper's long tail effectively did.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use cc_core::pipeline::PipelineOutput;
 use cc_util::Counter;
@@ -25,15 +25,6 @@ pub struct OrgAppearances {
     pub destinations: Vec<(String, u64)>,
 }
 
-/// Resolve a registered domain to its owning organization's display name.
-pub fn org_of(web: &SimWeb, domain: &str) -> String {
-    web.orgs
-        .iter()
-        .find(|o| o.owns(domain))
-        .map(|o| o.name.clone())
-        .unwrap_or_else(|| domain.to_string())
-}
-
 /// Count originator/destination organizations over unique smuggling domain
 /// paths, returning the top `k` of each.
 pub fn figure4(web: &SimWeb, output: &PipelineOutput, k: usize) -> OrgAppearances {
@@ -44,14 +35,27 @@ pub fn figure4(web: &SimWeb, output: &PipelineOutput, k: usize) -> OrgAppearance
             .or_insert_with(|| (f.origin.clone(), f.destination.clone()));
     }
 
+    // Each domain's owner is the first organization in `web.orgs` order
+    // that owns it, as a scan with `Organization::owns` would find it.
+    let mut owners: HashMap<&str, &str> = HashMap::new();
+    for org in &web.orgs {
+        for domain in &org.domains {
+            owners.entry(domain).or_insert(&org.name);
+        }
+    }
+    // Unattributed domains stand for themselves.
+    let org_of = |domain: &str| {
+        let owner = owners.get(domain.to_ascii_lowercase().as_str());
+        owner.map_or(domain, |name| name).to_string()
+    };
     let mut orig: Counter<String> = Counter::new();
     let mut dest: Counter<String> = Counter::new();
     for (_, (o, d)) in seen {
         // "the owning organization is only counted once for that path" —
         // one increment per role per unique path.
-        orig.add(org_of(web, &o));
+        orig.add(org_of(&o));
         if let Some(d) = d {
-            dest.add(org_of(web, &d));
+            dest.add(org_of(&d));
         }
     }
 
@@ -119,6 +123,23 @@ mod tests {
         // Unattributed domains stand for themselves.
         assert!(fig.originators.iter().any(|(n, _)| n == "unknown.org"));
         assert_eq!(fig.destinations[0], ("MegaShop".to_string(), 3));
+    }
+
+    #[test]
+    fn a_domain_two_organizations_list_counts_for_the_first() {
+        let mut first = Organization::new(OrgId(0), "First");
+        first.add_domain("shared.com");
+        let mut second = Organization::new(OrgId(1), "Second");
+        second.add_domain("Shared.com");
+        second.add_domain("megashop.com");
+        let web = SimWeb::assemble(vec![], vec![], vec![first, second], vec![], vec![]);
+        let output = PipelineOutput {
+            findings: vec![finding("SHARED.com", "megashop.com")],
+            ..Default::default()
+        };
+        let fig = figure4(&web, &output, 10);
+        assert_eq!(fig.originators, vec![("First".to_string(), 1)]);
+        assert_eq!(fig.destinations, vec![("Second".to_string(), 1)]);
     }
 
     #[test]

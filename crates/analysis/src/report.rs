@@ -2,7 +2,7 @@
 //! paper-style text rendering.
 
 use cc_core::pipeline::PipelineOutput;
-use cc_core::ComboClass;
+use cc_core::{Chunks, ComboClass};
 use cc_crawler::{CrawlDataset, FailureLedger, FailureStats};
 use cc_net::RecoveryStats;
 use cc_util::{CcError, Counter};
@@ -240,11 +240,24 @@ pub fn section_by_slug(slug: &str) -> Option<ReportSection> {
     slug_registry().get(slug).copied()
 }
 
-/// Build the complete report.
+/// Build the complete report, its walk scans beside the rest
+/// ([`full_report_in`] with [`Chunks::available`]).
 pub fn full_report(
     web: &SimWeb,
     dataset: &CrawlDataset,
     output: &PipelineOutput,
+) -> AnalysisReport {
+    full_report_in(web, dataset, output, Chunks::available())
+}
+
+/// Build the complete report. With more than one chunk, Figure 6 and the
+/// cloaking scan, which read every beacon of every walk, run on a second
+/// thread beside the other sections (about half the report each).
+pub fn full_report_in(
+    web: &SimWeb,
+    dataset: &CrawlDataset,
+    output: &PipelineOutput,
+    chunks: Chunks,
 ) -> AnalysisReport {
     let _report_span = cc_telemetry::span("report");
     // One timing span per report section, so a hot section (the per-walk
@@ -253,36 +266,49 @@ pub fn full_report(
         let _section_span = cc_telemetry::span(name);
         build()
     }
-    AnalysisReport {
-        table1: section("report.table1", || table1(output)),
-        summary: section("report.summary", || summarize(output)),
-        table3: section("report.table3", || table3(output, 30)),
-        orgs: section("report.orgs", || figure4(web, output, 20)),
-        categories: section("report.categories", || figure5(web, output)),
-        third_parties: section("report.third_parties", || figure6(dataset, output, 20)),
-        fig7: section("report.fig7", || figure7(output)),
-        fig8: section("report.fig8", || figure8(output)),
-        bounce: section("report.bounce", || bounce_stats(output)),
-        fingerprint: section("report.fingerprint", || fingerprint_experiment(web, output)),
-        failures: dataset.failures,
-        recovery: dataset.recovery_totals(),
-        ledger: dataset.ledger.clone(),
-        cloaked: section("report.cloaking", || detect_cloaking(web, dataset, output)),
-        manual_entered: output.stats.entered_manual,
-        manual_removed: output.stats.manual_removed,
-        cookie_sync: section("report.cookie_sync", || detect_cookie_sync(dataset)),
-        species: section("report.species", || species_evasion(web, output)),
-        step_failures: section("report.step_failures", || {
-            failures_by_step(
-                dataset,
-                dataset
-                    .walks
-                    .iter()
-                    .flat_map(|w| w.steps.iter().map(|s| s.index + 1))
-                    .max()
-                    .unwrap_or(0),
+    let (report, (third_parties, cloaked)) = chunks.join(
+        || AnalysisReport {
+            table1: section("report.table1", || table1(output)),
+            summary: section("report.summary", || summarize(output)),
+            table3: section("report.table3", || table3(output, 30)),
+            orgs: section("report.orgs", || figure4(web, output, 20)),
+            categories: section("report.categories", || figure5(web, output)),
+            third_parties: Vec::new(),
+            fig7: section("report.fig7", || figure7(output)),
+            fig8: section("report.fig8", || figure8(output)),
+            bounce: section("report.bounce", || bounce_stats(output)),
+            fingerprint: section("report.fingerprint", || fingerprint_experiment(web, output)),
+            failures: dataset.failures,
+            recovery: dataset.recovery_totals(),
+            ledger: dataset.ledger.clone(),
+            cloaked: Vec::new(),
+            manual_entered: output.stats.entered_manual,
+            manual_removed: output.stats.manual_removed,
+            cookie_sync: section("report.cookie_sync", || detect_cookie_sync(dataset)),
+            species: section("report.species", || species_evasion(web, output)),
+            step_failures: section("report.step_failures", || {
+                failures_by_step(
+                    dataset,
+                    dataset
+                        .walks
+                        .iter()
+                        .flat_map(|w| w.steps.iter().map(|s| s.index + 1))
+                        .max()
+                        .unwrap_or(0),
+                )
+            }),
+        },
+        || {
+            (
+                section("report.third_parties", || figure6(dataset, output, 20)),
+                section("report.cloaking", || detect_cloaking(web, dataset, output)),
             )
-        }),
+        },
+    );
+    AnalysisReport {
+        third_parties,
+        cloaked,
+        ..report
     }
 }
 

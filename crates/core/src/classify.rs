@@ -132,6 +132,29 @@ pub struct ClassifyStats {
     pub manual_removed: u64,
 }
 
+impl ClassifyStats {
+    /// Add another run's tallies (classification of disjoint groups).
+    pub fn absorb(&mut self, other: ClassifyStats) {
+        // Destructured, so a new tally cannot be left out.
+        let ClassifyStats {
+            groups,
+            uids,
+            same_across_users,
+            session_rotation,
+            programmatic,
+            entered_manual,
+            manual_removed,
+        } = other;
+        self.groups += groups;
+        self.uids += uids;
+        self.same_across_users += same_across_users;
+        self.session_rotation += session_rotation;
+        self.programmatic += programmatic;
+        self.entered_manual += entered_manual;
+        self.manual_removed += manual_removed;
+    }
+}
+
 /// Classify all candidates (from all four crawlers).
 ///
 /// `extra_nav_obs` supplies navigation-query token observations so that

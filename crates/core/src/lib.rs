@@ -24,12 +24,17 @@
 //!    truth (an evaluation the paper could not run on the live web);
 //! 8. [`ml`] — the learned token classifier the paper names as future
 //!    work (§7.2), trainable from the ground-truth ledger.
+//!
+//! [`chunks`] runs the per-walk work after the crawl (the pipeline here,
+//! the report's walk scans and the served walk bodies downstream) on
+//! every core, in ordered walk chunks.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod baselines;
 pub mod candidates;
+pub mod chunks;
 pub mod classify;
 pub mod extract;
 pub mod heuristics;
@@ -39,7 +44,8 @@ pub mod observe;
 pub mod pipeline;
 pub mod truth_eval;
 
+pub use chunks::Chunks;
 pub use classify::{ComboClass, DiscardReason, Verdict};
 pub use pipeline::{
-    classify_walks, extract_walk, run_pipeline, PipelineOutput, UidFinding, WalkExtract,
+    classify_walks, extract_walk, run_pipeline, run_pipeline_in, PipelineOutput, UidFinding, WalkExtract,
 };

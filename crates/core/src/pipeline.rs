@@ -4,8 +4,9 @@
 //! [`UidFinding`]s, the unit the §5 analyses consume.
 //!
 //! The first stage is per walk ([`extract_walk`]); classification and
-//! assembly look across walks ([`classify_walks`]). [`run_pipeline`] is
-//! the two in sequence.
+//! assembly group by `(walk, step, name)` ([`classify_walks`]), so they
+//! too are per walk until the stats. [`run_pipeline`] runs the two over
+//! ordered walk chunks on every core ([`crate::chunks`]).
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -14,6 +15,7 @@ use cc_crawler::{CrawlDataset, CrawlerName, WalkRecord};
 use serde::{Deserialize, Serialize};
 
 use crate::candidates::{find_candidates, Candidate};
+use crate::chunks::Chunks;
 use crate::classify::{classify, ClassifyStats, ComboClass, TokenGroup, Verdict};
 use crate::observe::{observe, PathView, TokenObs};
 
@@ -170,21 +172,74 @@ pub fn extract_walk(walk: &WalkRecord) -> WalkExtract {
     out
 }
 
-/// Run the full pipeline over a crawl dataset: the per-walk extraction
-/// of every walk, then [`classify_walks`].
+/// Run the full pipeline over a crawl dataset, one walk chunk per core
+/// ([`run_pipeline_in`] with [`Chunks::available`]).
 pub fn run_pipeline(dataset: &CrawlDataset) -> PipelineOutput {
-    let _pipeline_span = cc_telemetry::span("pipeline");
-    let mut all = WalkExtract::default();
-    {
-        let _extract_span = cc_telemetry::span("pipeline.extract");
-        for walk in &dataset.walks {
-            all.add_walk(walk);
-        }
-    }
-    classify_walks([Cow::Owned(all)])
+    run_pipeline_in(dataset, Chunks::available())
 }
 
-/// The cross-walk stages over walk extracts in walk order:
+/// Run the full pipeline over at most `chunks` contiguous walk chunks:
+/// each chunk's extraction, then its [`classify_walks`], concatenated in
+/// chunk order. Every classification group lies within one walk, so the
+/// chunks' groups are the sequential run's; [`PipelineOutput::concat`]
+/// restores their walk-id order. Walks that share an id would share
+/// groups, so such a dataset runs as one chunk.
+pub fn run_pipeline_in(dataset: &CrawlDataset, chunks: Chunks) -> PipelineOutput {
+    let _pipeline_span = cc_telemetry::span("pipeline");
+    let walks = &dataset.walks;
+    let chunks = if distinct_ids(walks) {
+        chunks
+    } else {
+        Chunks::ONE
+    };
+    let parts = chunks.map(walks, |walks| {
+        let mut extract = WalkExtract::default();
+        {
+            let _extract_span = cc_telemetry::span("pipeline.extract");
+            for walk in walks {
+                extract.add_walk(walk);
+            }
+        }
+        classify_walks([Cow::Owned(extract)])
+    });
+    PipelineOutput::concat(parts)
+}
+
+/// Whether no two walks share an id.
+fn distinct_ids(walks: &[WalkRecord]) -> bool {
+    let mut ids: Vec<u32> = walks.iter().map(|w| w.walk_id).collect();
+    ids.sort_unstable();
+    ids.windows(2).all(|pair| pair[0] < pair[1])
+}
+
+impl PipelineOutput {
+    /// Concatenate the outputs of consecutive walk chunks with distinct
+    /// walk ids: paths and candidates stay in walk order, the stats add
+    /// up, and groups and findings are put back in the `(walk, step,
+    /// name)` order the classifier gives them, which differs from chunk
+    /// order when the walks are not in id order.
+    fn concat(parts: Vec<PipelineOutput>) -> PipelineOutput {
+        let chunked = parts.len() > 1;
+        let mut parts = parts.into_iter();
+        let mut out = parts.next().unwrap_or_default();
+        for part in parts {
+            out.findings.extend(part.findings);
+            out.groups.extend(part.groups);
+            out.stats.absorb(part.stats);
+            out.paths.extend(part.paths);
+            out.candidates.extend(part.candidates);
+        }
+        if chunked {
+            out.groups
+                .sort_by(|a, b| (a.walk, a.step, &a.name).cmp(&(b.walk, b.step, &b.name)));
+            out.findings
+                .sort_by(|a, b| (a.walk, a.step, &a.name).cmp(&(b.walk, b.step, &b.name)));
+        }
+        out
+    }
+}
+
+/// The second stage over walk extracts in walk order:
 /// classification, then finding assembly. Owned extracts are moved into
 /// the output; borrowed ones (a cache's) are copied.
 pub fn classify_walks<'a>(

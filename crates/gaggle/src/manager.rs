@@ -146,6 +146,9 @@ struct LeaseState {
 
 /// Everything the run shares with its handler threads.
 struct Shared {
+    /// The listener's address, which the run's last handler connects to
+    /// so the accept loop wakes and sees the run done.
+    addr: SocketAddr,
     study: StudyConfig,
     web: Arc<SimWeb>,
     cfg: GaggleConfig,
@@ -167,6 +170,18 @@ impl Shared {
 
     fn lease_timeout(&self) -> Duration {
         Duration::from_millis(self.cfg.lease_timeout_ms)
+    }
+
+    /// Every lease is in: mark the run done, wake the handlers waiting
+    /// for a lease and, once `st` is released, the accept loop.
+    fn complete(&self, mut st: std::sync::MutexGuard<'_, LeaseState>) {
+        st.done = true;
+        self.cv.notify_all();
+        drop(st);
+        if cc_util::wake::wake_accept(self.addr).is_err() {
+            // The accept loop then leaves at the next connection.
+            cc_telemetry::event("gaggle.wake_failed", &[]);
+        }
     }
 
     /// Write one frame and account for it.
@@ -248,8 +263,7 @@ impl Shared {
             }
             if st.live == 0 {
                 // Nothing pending, nothing out: the run is done.
-                st.done = true;
-                self.cv.notify_all();
+                self.complete(st);
                 return None;
             }
             st = self.cv.wait(st).expect("gaggle lease state poisoned");
@@ -277,10 +291,11 @@ impl Shared {
             }
         }
         if st.pending.is_empty() && st.live == 0 {
-            st.done = true;
+            self.complete(st);
+        } else {
+            self.cv.notify_all();
+            drop(st);
         }
-        self.cv.notify_all();
-        drop(st);
 
         // The lease is one batch of the study, checkpointed on the same
         // cadence as a single-process run's walks (intermediate commits
@@ -366,15 +381,13 @@ impl Manager {
         let addr = listener
             .local_addr()
             .map_err(|e| CcError::io(&cfg.bind, e))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| CcError::io(&cfg.bind, e))?;
 
         // The crawl begins once the world is generated and the port bound.
         if let Some(p) = &opts.progress {
             p.start_clock();
         }
         let shared = Shared {
+            addr,
             study: study.clone(),
             web,
             cfg,
@@ -393,9 +406,9 @@ impl Manager {
     }
 
     /// Wait for completion and assemble the final dataset. Every handler
-    /// thread is joined first, so a peer that connected just before the
-    /// last lease completed can delay this by one lease timeout (its
-    /// `Hello` deadline or the goodbye drain), and no more.
+    /// thread is joined first, including those of peers still connecting
+    /// as the run ends, so a peer that connects then can delay this by
+    /// one lease timeout (its `Hello` deadline or the goodbye drain).
     pub fn join(self) -> Result<ManagerOutcome, CcError> {
         self.thread.join().expect("gaggle manager thread panicked")
     }
@@ -405,17 +418,19 @@ fn run_manager(listener: TcpListener, shared: Shared) -> Result<ManagerOutcome, 
     std::thread::scope(|scope| {
         let mut handlers = Vec::new();
         let mut next_worker_id = 0u32;
+        let mut spawn = |stream: TcpStream| {
+            let worker_id = next_worker_id;
+            next_worker_id += 1;
+            let sh = &shared;
+            scope.spawn(move || handle_worker(sh, stream, worker_id))
+        };
+        // Every connection gets a handler, which greets the worker and
+        // says goodbye as soon as the run is done. The accept blocks; the
+        // handler that completes the run wakes it with a connection of
+        // its own (which its handler sees close before any Hello).
         while !shared.done() {
             match listener.accept() {
-                Ok((stream, _peer)) => {
-                    let worker_id = next_worker_id;
-                    next_worker_id += 1;
-                    let sh = &shared;
-                    handlers.push(scope.spawn(move || handle_worker(sh, stream, worker_id)));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
+                Ok((stream, _peer)) => handlers.push(spawn(stream)),
                 Err(e) => {
                     let mut st = shared.lock();
                     st.error.get_or_insert(CcError::io("gaggle accept", e));
@@ -424,10 +439,25 @@ fn run_manager(listener: TcpListener, shared: Shared) -> Result<ManagerOutcome, 
                 }
             }
         }
-        for h in handlers {
-            let _ = h.join();
+        // A listener dropped with connections in its backlog resets them,
+        // so a worker that dialed as the run finished is greeted and told
+        // goodbye too, until the handlers are done and none is pending.
+        let nonblocking = listener.set_nonblocking(true).is_ok();
+        loop {
+            for h in handlers.drain(..) {
+                let _ = h.join();
+            }
+            if nonblocking {
+                while let Ok((stream, _peer)) = listener.accept() {
+                    handlers.push(spawn(stream));
+                }
+            }
+            if handlers.is_empty() {
+                break;
+            }
         }
     });
+    drop(listener);
 
     let Shared {
         web,

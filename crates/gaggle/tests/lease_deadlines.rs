@@ -220,3 +220,85 @@ fn peers_that_never_finish_a_hello_are_dropped_at_its_deadline() {
     );
     assert_eq!(outcome.stats.workers_connected, 1, "{:?}", outcome.stats);
 }
+
+/// Workers that dial as the run ends are greeted and told goodbye, not
+/// reset when the manager stops listening: one whose Hello arrives while
+/// the study's only lease is out and comes back at once, and one that
+/// dials once the run is done, while the lease holder's goodbye is still
+/// under way.
+#[test]
+fn workers_that_dial_as_the_run_ends_are_greeted_and_told_goodbye() {
+    let study = study();
+    let web = generate(&study.web);
+    let solo = crawl_study(&web, &study).unwrap();
+    let ids: Vec<u32> = (0..12).collect();
+    let (shard, truth) = StudyRun::new(&web, &study).lease(&ids).unwrap();
+    let manager = Manager::start(
+        &study,
+        GaggleConfig {
+            lease_walks: ids.len(),
+            lease_timeout_ms: LEASE_TIMEOUT.as_millis() as u64,
+            ..GaggleConfig::default()
+        },
+        ManagerOptions::default(),
+    )
+    .unwrap();
+    let hello = Frame::Hello {
+        protocol: PROTOCOL.into(),
+        label: "fake".into(),
+    };
+    let dial = || {
+        let mut stream = TcpStream::connect(manager.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        send(&mut stream, &hello);
+        stream
+    };
+    let goodbye = Frame::Goodbye {
+        reason: "complete".into(),
+    };
+
+    let mut holder = dial();
+    assert!(matches!(recv(&mut holder), Frame::Welcome { .. }));
+    let (lease_id, walk_ids) = lease(recv(&mut holder));
+    assert_eq!(walk_ids, ids, "one lease holds the study");
+    let during = dial();
+    send(
+        &mut holder,
+        &Frame::ShardResult {
+            lease_id,
+            shard,
+            truth,
+        },
+    );
+    assert!(matches!(recv(&mut holder), Frame::Goodbye { .. }));
+    let after = dial();
+    send(&mut holder, &goodbye);
+
+    for (mut stream, worker) in [
+        (during, "a worker dialing during the lease"),
+        (after, "a worker dialing after the run"),
+    ] {
+        match read_frame(&mut stream) {
+            Ok((Frame::Welcome { .. }, _)) => {}
+            Ok((frame, _)) => panic!("{worker} got a {} frame before Welcome", frame.name()),
+            Err(e) => panic!("{worker} was not greeted: {e}"),
+        }
+        match read_frame(&mut stream) {
+            Ok((Frame::Goodbye { reason }, _)) => assert_eq!(reason, "complete"),
+            Ok((frame, _)) => panic!("{worker} got a {} frame before Goodbye", frame.name()),
+            Err(e) => panic!("{worker} was not told goodbye: {e}"),
+        }
+        send(&mut stream, &goodbye);
+    }
+
+    let outcome = manager.join().unwrap();
+    assert_eq!(
+        outcome.dataset.to_json().unwrap(),
+        solo.to_json().unwrap(),
+        "dataset bytes diverged"
+    );
+    assert_eq!(outcome.stats.workers_connected, 3, "{:?}", outcome.stats);
+    assert_eq!(outcome.stats.leases_issued, 1, "{:?}", outcome.stats);
+}

@@ -13,14 +13,13 @@
 //! are verifiable against the offline artifact.
 
 use std::borrow::Cow;
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
 
-use cc_analysis::report::{full_report, AnalysisReport, ReportSection};
+use cc_analysis::report::{full_report, full_report_in, AnalysisReport, ReportSection};
 use cc_analysis::{classify_redirectors, RedirectorClass};
 use cc_core::pipeline::PipelineOutput;
-use cc_core::WalkExtract;
+use cc_core::{Chunks, WalkExtract};
 use cc_crawler::{CrawlCheckpoint, CrawlDataset, WalkRecord};
 use cc_http::date::format_http_date;
 use cc_net::SimTime;
@@ -75,6 +74,21 @@ fn walk_body(walk: &WalkRecord) -> Result<CachedBody, CcError> {
     serde_json::to_string(walk)
         .map(CachedBody::new)
         .map_err(|e| CcError::Serde(e.to_string()))
+}
+
+/// `per_walk` over `walks` in at most `chunks` chunks, in walk order.
+fn map_walks<W: Sync, T: Send>(
+    walks: &[W],
+    chunks: Chunks,
+    per_walk: impl Fn(&W) -> Result<T, CcError> + Sync,
+) -> Result<Vec<T>, CcError> {
+    let mut out = Vec::with_capacity(walks.len());
+    for part in chunks.map(walks, |part| {
+        part.iter().map(&per_walk).collect::<Result<Vec<_>, _>>()
+    }) {
+        out.extend(part?);
+    }
+    Ok(out)
 }
 
 /// The per-walk work a fold keeps across epochs, keyed by walk id: each
@@ -184,6 +198,12 @@ impl ServingIndex {
     /// routes over every walk of the snapshot. With `keep`, the cache
     /// keeps its entries and the epoch gets copies; without, the epoch
     /// takes them (the last fold of a crawl, or a fold with no cache).
+    ///
+    /// A fold of a complete snapshot (`serve --load`, a crawl's last
+    /// epoch) spreads its walks and its report over every core. A fold
+    /// of an incomplete one stays on the calling thread: it runs beside
+    /// the crawl, which already holds the cores, and helper threads there
+    /// raised peak RSS by one more malloc arena's worth of freed memory.
     pub(crate) fn fold(
         web: &SimWeb,
         ck: &CrawlCheckpoint,
@@ -199,14 +219,23 @@ impl ServingIndex {
         // bytes as the offline report of the original run.
         web.absorb_truth(&ck.truth);
         let walks = &ck.partial.walks;
-        for walk in walks {
-            if let Entry::Vacant(slot) = cache.walks.entry(walk.walk_id) {
-                slot.insert(CachedWalk {
-                    extract: cc_core::extract_walk(walk),
-                    body: walk_body(walk)?,
-                });
-            }
-        }
+        let chunks = if walks.len() >= ck.total_walks {
+            Chunks::available()
+        } else {
+            Chunks::ONE
+        };
+        let missing: Vec<&WalkRecord> = walks
+            .iter()
+            .filter(|w| !cache.walks.contains_key(&w.walk_id))
+            .collect();
+        let fresh = map_walks(&missing, chunks, |walk| {
+            let entry = CachedWalk {
+                extract: cc_core::extract_walk(walk),
+                body: walk_body(walk)?,
+            };
+            Ok((walk.walk_id, entry))
+        })?;
+        cache.walks.extend(fresh);
         let (output, bodies) = if keep {
             let cached = |w: &WalkRecord| &cache.walks[&w.walk_id];
             let output =
@@ -229,7 +258,7 @@ impl ServingIndex {
             }
             (cc_core::classify_walks(extracts), bodies)
         };
-        let report = full_report(web, &ck.partial, &output);
+        let report = full_report_in(web, &ck.partial, &output, chunks);
         let mut index = Self::assemble(&report, &output, bodies)?;
         index.set_epoch(epoch, ck.total_walks);
         Ok(index)
@@ -246,17 +275,25 @@ impl ServingIndex {
     }
 
     /// Build the index from a prebuilt report (the report must come from
-    /// the same dataset/output pair).
+    /// the same dataset/output pair), encoding the walk bodies on every
+    /// core ([`Self::from_report_in`] with [`Chunks::available`]).
     pub fn from_report(
         report: &AnalysisReport,
         dataset: &CrawlDataset,
         output: &PipelineOutput,
     ) -> Result<ServingIndex, CcError> {
-        let bodies = dataset
-            .walks
-            .iter()
-            .map(|w| Ok((w.walk_id, walk_body(w)?)))
-            .collect::<Result<Vec<_>, CcError>>()?;
+        Self::from_report_in(report, dataset, output, Chunks::available())
+    }
+
+    /// [`Self::from_report`] with the `/walks/{id}` bodies encoded in at
+    /// most `chunks` walk chunks.
+    pub fn from_report_in(
+        report: &AnalysisReport,
+        dataset: &CrawlDataset,
+        output: &PipelineOutput,
+        chunks: Chunks,
+    ) -> Result<ServingIndex, CcError> {
+        let bodies = map_walks(&dataset.walks, chunks, |w| Ok((w.walk_id, walk_body(w)?)))?;
         Self::assemble(report, output, bodies)
     }
 

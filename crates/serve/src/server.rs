@@ -34,7 +34,7 @@
 
 use std::collections::VecDeque;
 use std::io::{BufReader, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -47,9 +47,6 @@ use cc_util::CcError;
 use crate::handle::{FollowConfig, IndexHandle, IndexSource};
 use crate::publish::IncrementalIndexBuilder;
 use crate::router::{self, ObsSources, Routed};
-
-/// How long [`Shared::request_stop`]'s wake-up connect may take.
-const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Server knobs (lowered from `StudyConfig.serve` by the CLI).
 #[derive(Debug, Clone)]
@@ -166,7 +163,7 @@ impl<S> Shared<S> {
     /// Flip the stop flag and wake every thread that sleeps on it.
     pub(crate) fn request_stop(&self) {
         if self.flip_stop() {
-            self.wake_accept(wake_addr(self.addr));
+            self.wake_accept(self.addr);
         }
     }
 
@@ -181,10 +178,10 @@ impl<S> Shared<S> {
         first
     }
 
-    /// Wake the accept thread, which blocks in `accept`, with a
-    /// connection of our own to `to`.
+    /// Wake the accept thread, which blocks in `accept` on a listener
+    /// bound at `to`, with a connection of our own.
     fn wake_accept(&self, to: SocketAddr) {
-        if TcpStream::connect_timeout(&to, WAKE_TIMEOUT).is_err() {
+        if cc_util::wake::wake_accept(to).is_err() {
             self.collector.add_event("serve.wake_failed", &[]);
             self.wake_failed.store(true, Ordering::SeqCst);
         }
@@ -214,19 +211,6 @@ impl<S> Shared<S> {
             entries
         )
     }
-}
-
-/// Where [`Shared::request_stop`] connects to wake the accept thread: the
-/// bound address itself, scope id and flow info included, with an
-/// unspecified IP replaced by loopback.
-fn wake_addr(bound: SocketAddr) -> SocketAddr {
-    let mut wake = bound;
-    match bound.ip() {
-        IpAddr::V4(ip) if ip.is_unspecified() => wake.set_ip(Ipv4Addr::LOCALHOST.into()),
-        IpAddr::V6(ip) if ip.is_unspecified() => wake.set_ip(Ipv6Addr::LOCALHOST.into()),
-        _ => {}
-    }
-    wake
 }
 
 /// The server factory.
@@ -765,6 +749,7 @@ impl<S> std::fmt::Debug for ServerHandle<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cc_util::wake::wake_addr;
 
     #[test]
     fn the_wake_address_is_the_bound_one_with_loopback_for_an_unspecified_ip() {

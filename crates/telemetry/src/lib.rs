@@ -64,7 +64,7 @@ pub use report::{
 };
 pub use ring::{ObsSample, SnapshotRing};
 pub use shard::{ShardGuard, WorkerCollector};
-pub use span::SpanGuard;
+pub use span::{AdoptedParent, SpanGuard, SpanParent};
 pub use trace_export::{chrome_trace_json, TraceSpan};
 
 /// Fast-path switch: `false` means every recording call returns

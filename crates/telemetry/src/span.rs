@@ -9,7 +9,10 @@
 //!
 //! Each thread owns its stack, so worker-thread spans form their own
 //! trees rooted at whatever span the worker opened first — exactly how
-//! per-worker traces should read.
+//! per-worker traces should read. A helper thread that does part of its
+//! spawner's work instead opens its spans under the spawner's path: the
+//! spawner takes a [`SpanParent`] and the helper [adopts](SpanParent::adopt)
+//! it.
 //!
 //! Two timing views are maintained per span:
 //!
@@ -194,6 +197,44 @@ impl Drop for SpanGuard {
     }
 }
 
+/// A span path handed from one thread to a thread it spawns, so the
+/// spawned thread's spans nest under it instead of rooting at their own
+/// names. Only the path crosses: the spawner's span times the whole wait,
+/// and the helper's spans do not count as its children in its self time.
+#[derive(Debug, Clone, Default)]
+pub struct SpanParent(String);
+
+impl SpanParent {
+    /// The calling thread's open span path (empty when recording is off
+    /// or no span is open).
+    pub fn current() -> SpanParent {
+        if !crate::enabled() {
+            return SpanParent::default();
+        }
+        PATH.with(|p| SpanParent(p.borrow().clone()))
+    }
+
+    /// Open the calling thread's spans under this path until the guard
+    /// drops. Take the guard before any span guard on the thread.
+    pub fn adopt(&self) -> AdoptedParent {
+        let prev = PATH.with(|p| std::mem::replace(&mut *p.borrow_mut(), self.0.clone()));
+        AdoptedParent { prev }
+    }
+}
+
+/// The guard of [`SpanParent::adopt`]: restores the thread's own span
+/// path on drop.
+#[must_use = "the parent path is dropped with the guard"]
+pub struct AdoptedParent {
+    prev: String,
+}
+
+impl Drop for AdoptedParent {
+    fn drop(&mut self) {
+        PATH.with(|p| *p.borrow_mut() = std::mem::take(&mut self.prev));
+    }
+}
+
 /// Render span rollups as an indented tree (the `--trace` output).
 ///
 /// Sibling order is well-defined regardless of how the rollups were
@@ -268,6 +309,37 @@ mod tests {
         assert_eq!(s.min_ns, 10);
         assert_eq!(s.max_ns, 30);
         assert_eq!(s.first_seen, 1);
+    }
+
+    #[test]
+    fn a_thread_that_adopts_its_spawners_path_nests_its_spans_under_it() {
+        let session = crate::Session::start();
+        {
+            let _caller = crate::span("adopt.caller");
+            let parent = SpanParent::current();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let _under = parent.adopt();
+                    let _helper = crate::span("adopt.helper");
+                });
+                s.spawn(|| {
+                    let _own = crate::span("adopt.orphan");
+                });
+            });
+            // The caller's own path is untouched by its helpers.
+            let _after = crate::span("adopt.after");
+        }
+        let report = session.report();
+        let paths: Vec<&str> = report
+            .timing
+            .spans
+            .iter()
+            .map(|s| s.path.as_str())
+            .collect();
+        assert!(paths.contains(&"adopt.caller/adopt.helper"), "{paths:?}");
+        assert!(!paths.contains(&"adopt.helper"), "{paths:?}");
+        assert!(paths.contains(&"adopt.orphan"), "{paths:?}");
+        assert!(paths.contains(&"adopt.caller/adopt.after"), "{paths:?}");
     }
 
     #[test]

@@ -26,6 +26,8 @@
 //! * [`progress`] — lock-free walk/step throughput counters with
 //!   per-worker snapshots, shared by the parallel crawl executor and its
 //!   monitors.
+//! * [`wake`] — the self-connect that wakes a thread blocked in
+//!   `accept` (cc-serve's server and the cc-gaggle manager).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -38,6 +40,7 @@ pub mod progress;
 pub mod rng;
 pub mod stats;
 pub mod strings;
+pub mod wake;
 pub mod zipf;
 
 pub use counter::Counter;

@@ -55,9 +55,7 @@ impl Organization {
 
     /// Whether this organization owns the given registered domain.
     pub fn owns(&self, domain: &str) -> bool {
-        self.domains
-            .iter()
-            .any(|d| d == &domain.to_ascii_lowercase())
+        self.domains.contains(&domain.to_ascii_lowercase())
     }
 }
 

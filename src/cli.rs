@@ -642,6 +642,18 @@ enum Produced {
 /// one driver: it owns the telemetry session, the artifact preflight and
 /// the observability plane, and only the dataset producer differs.
 pub fn run(cli: &Cli) -> Result<String, CcError> {
+    // A wait for an address file (`[ -s file ]`) must never read a
+    // previous run's port: each file goes before any listener binds, and
+    // comes back whole (`write_addr_file`).
+    for path in [&cli.addr_file, &cli.serve_addr_file, &cli.obs_addr_file]
+        .into_iter()
+        .flatten()
+    {
+        match std::fs::remove_file(path) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(CcError::io(path, e)),
+            _ => {}
+        }
+    }
     // Serving and load generation manage their own lifecycles (a server
     // blocks until shutdown; loadgen talks to a remote process), and a
     // gaggle worker crawls for a remote manager: none of them is a study.
@@ -739,8 +751,7 @@ pub fn run(cli: &Cli) -> Result<String, CcError> {
                 },
             )?;
             if let Some(path) = cli.serve_addr_file.as_deref() {
-                std::fs::write(path, server.addr().to_string())
-                    .map_err(|e| CcError::io(path, e))?;
+                write_addr_file(path, server.addr())?;
             }
             eprintln!(
                 "cc-serve following the crawl on http://{} — epoch 0 (warming); \
@@ -782,9 +793,9 @@ pub fn run(cli: &Cli) -> Result<String, CcError> {
             };
             let handle = cc_serve::Server::observe(sources, cfg)?;
             if let Some(path) = cli.obs_addr_file.as_deref() {
-                if let Err(e) = std::fs::write(path, handle.addr().to_string()) {
+                if let Err(e) = write_addr_file(path, handle.addr()) {
                     handle.shutdown();
-                    return Err(CcError::io(path, e));
+                    return Err(e);
                 }
             }
             Some(handle)
@@ -919,6 +930,14 @@ pub fn run(cli: &Cli) -> Result<String, CcError> {
     result
 }
 
+/// Write a listener's bound address to `path` whole: into a temp file
+/// first, then renamed into place.
+fn write_addr_file(path: &str, addr: std::net::SocketAddr) -> Result<(), CcError> {
+    let tmp = format!("{path}.tmp");
+    std::fs::write(&tmp, addr.to_string()).map_err(|e| CcError::io(&tmp, e))?;
+    std::fs::rename(&tmp, path).map_err(|e| CcError::io(path, e))
+}
+
 /// The gaggle producer: a manager leases the study's walk ids to workers
 /// and assembles their shards. The single-machine spelling spawns its
 /// workers as child processes of this very binary, so it exercises
@@ -934,7 +953,7 @@ fn manage(
     let manager = cc_gaggle::Manager::start(&cli.study, cfg, opts)?;
     let addr = manager.addr().to_string();
     if let Some(path) = cli.addr_file.as_deref() {
-        std::fs::write(path, &addr).map_err(|e| CcError::io(path, e))?;
+        write_addr_file(path, manager.addr())?;
     }
     eprintln!(
         "cc-gaggle manager listening on {addr} — workers join with: \
@@ -979,7 +998,7 @@ fn run_serve(cli: &Cli) -> Result<String, CcError> {
     let handle = cc_serve::Server::start(source, cc_serve::ServeConfig::from(&cli.study.serve))?;
     let addr = handle.addr();
     if let Some(path) = cli.addr_file.as_deref() {
-        std::fs::write(path, addr.to_string()).map_err(|e| CcError::io(path, e))?;
+        write_addr_file(path, addr)?;
     }
     let index = handle.index_handle().current();
     if following {
@@ -1474,6 +1493,52 @@ mod tests {
         let solo_json = std::fs::read_to_string(&solo_out).unwrap();
         let gaggle_json = std::fs::read_to_string(&gaggle_out).unwrap();
         assert_eq!(solo_json, gaggle_json, "gaggle dataset bytes diverged");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn address_files_go_before_the_bind_and_come_back_whole() {
+        let dir = std::env::temp_dir().join("ccrs-cli-addr-file-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (file, out) = (dir.join("addr.txt"), dir.join("ds.json"));
+        let (file, out) = (file.display(), out.display());
+        let stale = "127.0.0.1:1";
+        let study = "--seed 5 --steps 3 --walks 4";
+        let cli = |command: &str| {
+            let mut cli = parse(&argv(command)).unwrap();
+            cli.study.web = cc_web::WebConfig::small();
+            cli
+        };
+
+        // A port in use: each listener fails to bind, with its address
+        // file already gone.
+        let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let taken = taken.local_addr().unwrap();
+        for command in [
+            format!("serve {study} --addr {taken} --addr-file {file}"),
+            format!("gaggle manager {study} --bind {taken} --addr-file {file} --out {out}"),
+            format!("crawl {study} --out {out} --serve-addr {taken} --serve-addr-file {file}"),
+            format!("crawl {study} --out {out} --obs-addr {taken} --obs-addr-file {file}"),
+        ] {
+            std::fs::write(file.to_string(), stale).unwrap();
+            assert!(run(&cli(&command)).is_err(), "{command} bound a port in use");
+            assert!(
+                !std::path::Path::new(&file.to_string()).exists(),
+                "{command} left the previous run's address file"
+            );
+        }
+
+        // A bound listener's address replaces the stale one, and no temp
+        // file is left beside it.
+        std::fs::write(file.to_string(), stale).unwrap();
+        let command =
+            format!("crawl {study} --out {out} --obs-addr 127.0.0.1:0 --obs-addr-file {file}");
+        run(&cli(&command)).unwrap();
+        let written = std::fs::read_to_string(file.to_string()).unwrap();
+        let bound: std::net::SocketAddr = written.parse().unwrap();
+        assert_ne!(written, stale);
+        assert_ne!(bound.port(), 0);
+        assert!(!std::path::Path::new(&format!("{file}.tmp")).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 
